@@ -6,7 +6,7 @@
 //!   --workload <name>      suite workload (default bfs-citation); "list" to enumerate
 //!   --scheduler <name>     rr | tb-pri | smx-bind | adaptive-bind | random (default adaptive-bind)
 //!   --model <name>         cdp | dtbl (default dtbl)
-//!   --scale <name>         tiny | small | paper (default small)
+//!   --scale <name>         tiny | ci | small | paper (default small)
 //!   --seed <n>             input seed (default 0)
 //!   --smxs <n>             override SMX count
 //!   --l1-kb <n>            override L1 size per SMX
@@ -18,9 +18,8 @@
 use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
-use gpu_sim::tb_sched::{RandomScheduler, RoundRobinScheduler, TbScheduler};
 use gpu_sim::trace::{render, VecSink};
-use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
+use sim_metrics::harness::{scheduler_by_name, scheduler_names};
 use workloads::{suite_seeded, Scale, SharedSource};
 
 struct Options {
@@ -52,44 +51,24 @@ fn parse_args() -> Options {
     Options {
         workload: value("--workload").unwrap_or_else(|| "bfs-citation".into()),
         scheduler: value("--scheduler").unwrap_or_else(|| "adaptive-bind".into()),
-        model: match value("--model").as_deref() {
-            Some("cdp") => LaunchModelKind::Cdp,
-            Some("dtbl") | None => LaunchModelKind::Dtbl,
-            Some(other) => {
-                eprintln!("unknown launch model {other}");
+        model: value("--model").map_or(LaunchModelKind::Dtbl, |v| {
+            LaunchModelKind::from_name(&v).unwrap_or_else(|| {
+                eprintln!("unknown launch model {v} (cdp, dtbl)");
                 std::process::exit(2);
-            }
-        },
-        scale: match value("--scale").as_deref() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") | None => Scale::Small,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                eprintln!("unknown scale {other}");
+            })
+        }),
+        scale: value("--scale").map_or(Scale::Small, |v| {
+            Scale::from_name(&v).unwrap_or_else(|| {
+                eprintln!("unknown scale {v} (tiny, ci, small, paper)");
                 std::process::exit(2);
-            }
-        },
+            })
+        }),
         seed: parse_num("--seed").unwrap_or(0),
         smxs: parse_num("--smxs").map(|n| n as u16),
         l1_kb: parse_num("--l1-kb").map(|n| n as u32),
         l2_kb: parse_num("--l2-kb").map(|n| n as u32),
         launch_latency: parse_num("--launch-latency").map(|n| n as u32),
         trace: args.iter().any(|a| a == "--trace"),
-    }
-}
-
-fn build_scheduler(name: &str, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
-    let laperm_cfg = LaPermConfig::for_gpu(cfg);
-    match name {
-        "rr" => Box::new(RoundRobinScheduler::new()),
-        "random" => Box::new(RandomScheduler::new(1)),
-        "tb-pri" => Box::new(LaPermScheduler::new(LaPermPolicy::TbPri, laperm_cfg)),
-        "smx-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::SmxBind, laperm_cfg)),
-        "adaptive-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)),
-        other => {
-            eprintln!("unknown scheduler {other} (rr, tb-pri, smx-bind, adaptive-bind, random)");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -126,9 +105,13 @@ fn main() {
         Some(base) => LaunchLatency::uniform(base),
         None => LaunchLatency::default_for(opts.model),
     };
+    let Some(scheduler) = scheduler_by_name(&opts.scheduler, &cfg) else {
+        eprintln!("unknown scheduler {} ({})", opts.scheduler, scheduler_names());
+        std::process::exit(2);
+    };
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(build_scheduler(&opts.scheduler, &cfg))
+        .with_scheduler(scheduler)
         .with_launch_model(opts.model.build(latency));
     if opts.trace {
         sim = sim.with_trace(Box::new(sink.clone()));

@@ -7,7 +7,7 @@
 //!   --workload <name>      suite workload (default bfs-citation); "list" to enumerate
 //!   --scheduler <name>     rr | tb-pri | smx-bind | adaptive-bind | random (default adaptive-bind)
 //!   --model <name>         cdp | dtbl (default dtbl)
-//!   --scale <name>         tiny | small | paper (default small)
+//!   --scale <name>         tiny | ci | small | paper (default small)
 //!   --seed <n>             input seed (default 0)
 //!   --smxs <n>             override SMX count
 //!   --out <path>           output file (default trace.json)
@@ -32,9 +32,8 @@
 use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
-use gpu_sim::tb_sched::{RandomScheduler, RoundRobinScheduler, TbScheduler};
 use gpu_sim::trace::VecSink;
-use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
+use sim_metrics::harness::{scheduler_by_name, scheduler_names};
 use sim_metrics::{perfetto_json, registry_for_run, validate_trace};
 use workloads::{suite_seeded, Scale, SharedSource};
 
@@ -70,14 +69,11 @@ const VALUE_FLAGS: [&str; 8] = [
 const BOOL_FLAGS: [&str; 5] =
     ["--check", "--metrics", "--locality", "--engine-profile", "--latency"];
 
-/// Valid `--scheduler` names (must match [`build_scheduler`]).
-const SCHEDULER_NAMES: &str = "rr, tb-pri, smx-bind, adaptive-bind, random";
-
 fn reject_arg(arg: &str) -> ! {
     eprintln!("unknown argument {arg}");
     eprintln!("value flags: {} (each takes the next token)", VALUE_FLAGS.join(" "));
     eprintln!("boolean flags: {}", BOOL_FLAGS.join(" "));
-    eprintln!("schedulers: {SCHEDULER_NAMES}; launch models: cdp, dtbl");
+    eprintln!("schedulers: {}; launch models: cdp, dtbl", scheduler_names());
     std::process::exit(2);
 }
 
@@ -115,23 +111,18 @@ fn parse_args() -> Options {
     Options {
         workload: value("--workload").unwrap_or_else(|| "bfs-citation".into()),
         scheduler: value("--scheduler").unwrap_or_else(|| "adaptive-bind".into()),
-        model: match value("--model").as_deref() {
-            Some("cdp") => LaunchModelKind::Cdp,
-            Some("dtbl") | None => LaunchModelKind::Dtbl,
-            Some(other) => {
-                eprintln!("unknown launch model {other} (cdp, dtbl)");
+        model: value("--model").map_or(LaunchModelKind::Dtbl, |v| {
+            LaunchModelKind::from_name(&v).unwrap_or_else(|| {
+                eprintln!("unknown launch model {v} (cdp, dtbl)");
                 std::process::exit(2);
-            }
-        },
-        scale: match value("--scale").as_deref() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") | None => Scale::Small,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                eprintln!("unknown scale {other} (tiny, small, paper)");
+            })
+        }),
+        scale: value("--scale").map_or(Scale::Small, |v| {
+            Scale::from_name(&v).unwrap_or_else(|| {
+                eprintln!("unknown scale {v} (tiny, ci, small, paper)");
                 std::process::exit(2);
-            }
-        },
+            })
+        }),
         seed: parse_num("--seed").unwrap_or(0),
         smxs: parse_num("--smxs").map(|n| n as u16),
         out: value("--out").unwrap_or_else(|| "trace.json".into()),
@@ -141,21 +132,6 @@ fn parse_args() -> Options {
         locality: args.iter().any(|a| a == "--locality"),
         engine_profile: args.iter().any(|a| a == "--engine-profile"),
         latency: args.iter().any(|a| a == "--latency"),
-    }
-}
-
-fn build_scheduler(name: &str, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
-    let laperm_cfg = LaPermConfig::for_gpu(cfg);
-    match name {
-        "rr" => Box::new(RoundRobinScheduler::new()),
-        "random" => Box::new(RandomScheduler::new(1)),
-        "tb-pri" => Box::new(LaPermScheduler::new(LaPermPolicy::TbPri, laperm_cfg)),
-        "smx-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::SmxBind, laperm_cfg)),
-        "adaptive-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)),
-        other => {
-            eprintln!("unknown scheduler {other} ({SCHEDULER_NAMES})");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -185,9 +161,13 @@ fn main() {
         std::process::exit(2);
     }
 
+    let Some(scheduler) = scheduler_by_name(&opts.scheduler, &cfg) else {
+        eprintln!("unknown scheduler {} ({})", opts.scheduler, scheduler_names());
+        std::process::exit(2);
+    };
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(build_scheduler(&opts.scheduler, &cfg))
+        .with_scheduler(scheduler)
         .with_launch_model(opts.model.build(LaunchLatency::default_for(opts.model)))
         .with_trace(Box::new(sink.clone()));
     for hk in workload.host_kernels() {
@@ -197,9 +177,8 @@ fn main() {
         }
     }
 
-    // Step manually so the machine can be sampled for the IPC counter
-    // track. Fast-forward stays on; a jump just lands past the next
-    // sampling boundary.
+    // Step manually, one cycle at a time on the cycle-stepped oracle,
+    // so the machine can be sampled for the IPC counter track.
     let mut samples = Vec::new();
     if opts.sample_every > 0 {
         samples.push(sim.sample());

@@ -108,14 +108,11 @@ fn parse_args() -> Args {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
     };
     let scale = match value_of("--scale") {
-        Some("tiny") => Scale::Tiny,
-        Some("ci") => Scale::Ci,
-        Some("small") => Scale::Small,
-        Some("paper") | None => Scale::Paper,
-        Some(other) => {
-            eprintln!("unknown scale {other}; using paper");
-            Scale::Paper
-        }
+        None => Scale::Paper,
+        Some(s) => Scale::from_name(s).unwrap_or_else(|| {
+            eprintln!("unknown scale {s}; choose tiny, ci, small or paper");
+            std::process::exit(2);
+        }),
     };
     let jobs = match value_of("--jobs") {
         Some(n) => n.parse().unwrap_or_else(|_| {
@@ -126,12 +123,11 @@ fn parse_args() -> Args {
     };
     let json_path = value_of("--json").map(String::from);
     let engine = match value_of("--engine") {
-        Some("cycle-stepped") => EngineMode::CycleStepped,
-        Some("event") | None => EngineMode::Event,
-        Some(other) => {
-            eprintln!("unknown engine {other}; choose event or cycle-stepped");
+        None => EngineMode::Event,
+        Some(s) => EngineMode::from_name(s).unwrap_or_else(|| {
+            eprintln!("unknown engine {s}; choose event or cycle-stepped");
             std::process::exit(2);
-        }
+        }),
     };
     let programs = match value_of("--programs") {
         None => ProgramPath::Generator,

@@ -32,13 +32,11 @@ fn main() {
         match arg.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("ci") => Scale::Ci,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    other => panic!("--scale expects tiny|ci|small|paper, got {other:?}"),
-                }
+                let name = args.next();
+                scale = name
+                    .as_deref()
+                    .and_then(Scale::from_name)
+                    .unwrap_or_else(|| panic!("--scale expects tiny|ci|small|paper, got {name:?}"));
             }
             "--jobs" => {
                 let list = args.next().expect("--jobs needs a comma-separated list");

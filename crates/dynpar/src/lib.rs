@@ -76,6 +76,11 @@ impl LaunchModelKind {
     pub fn all() -> [LaunchModelKind; 2] {
         [LaunchModelKind::Cdp, LaunchModelKind::Dtbl]
     }
+
+    /// The mechanism whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::all().into_iter().find(|k| k.name() == name)
+    }
 }
 
 impl std::fmt::Display for LaunchModelKind {
@@ -97,6 +102,14 @@ mod tests {
     #[test]
     fn all_lists_both() {
         assert_eq!(LaunchModelKind::all(), [LaunchModelKind::Cdp, LaunchModelKind::Dtbl]);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for k in LaunchModelKind::all() {
+            assert_eq!(LaunchModelKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(LaunchModelKind::from_name("cuda"), None);
     }
 
     #[test]

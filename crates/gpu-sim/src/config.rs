@@ -39,10 +39,9 @@ pub enum EngineMode {
     /// `engine-equivalence` gate asserts this on the ci-scale matrix.
     #[default]
     Event,
-    /// Reference mode: step every cycle, iterating all components each
-    /// time (with the idle-cycle fast-forward optimization layered on
-    /// top when [`GpuConfig::fast_forward`] is set). Kept as the
-    /// oracle the event engine is diffed against.
+    /// No-skip oracle: step every cycle, iterating all components each
+    /// time. It never jumps, so it is correct by construction; the
+    /// event engine is diffed against it.
     CycleStepped,
 }
 
@@ -53,6 +52,16 @@ impl EngineMode {
             EngineMode::Event => "event",
             EngineMode::CycleStepped => "cycle-stepped",
         }
+    }
+
+    /// Both modes, product engine first.
+    pub fn all() -> [EngineMode; 2] {
+        [EngineMode::Event, EngineMode::CycleStepped]
+    }
+
+    /// The mode whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::all().into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -198,20 +207,13 @@ pub struct GpuConfig {
 
     /// How [`run_to_completion`] advances time. [`EngineMode::Event`]
     /// (the default) drives the machine from a min-heap of component
-    /// wake-ups; [`EngineMode::CycleStepped`] iterates every component
-    /// every cycle and is kept as the equivalence oracle. Both produce
-    /// bit-identical statistics and trace streams.
+    /// wake-ups and jumps over idle stretches; [`EngineMode::CycleStepped`]
+    /// iterates every component on every cycle and is kept as the no-skip
+    /// equivalence oracle. Both produce bit-identical statistics and
+    /// trace streams (modulo the event engine's `FastForward` markers).
     ///
     /// [`run_to_completion`]: crate::engine::Simulator::run_to_completion
     pub engine_mode: EngineMode,
-
-    /// Skip idle stretches: when no launch is in flight, the KMU is
-    /// empty, and no TB awaits dispatch, the engine advances the cycle
-    /// counter directly to the next SMX/launch event instead of stepping
-    /// through cycles in which nothing can happen. Statistics are
-    /// bit-identical either way (see `docs/ARCHITECTURE.md`,
-    /// "Performance"); disable only to cross-check that invariant.
-    pub fast_forward: bool,
 
     /// Locality provenance profiling: tag every cache line with the TB
     /// that installed it and classify each hit by its relation to the
@@ -251,7 +253,7 @@ pub struct GpuConfig {
     /// other statistic are identical with it on or off, and the
     /// resulting [`LatencyStats`](crate::stats::LatencyStats) observes
     /// the simulated machine, so it is bit-identical across engine
-    /// modes and fast-forward settings.
+    /// modes.
     pub profile_latency: bool,
 
     /// Finite launch-path capacities and the overflow policy applied at
@@ -306,7 +308,6 @@ impl GpuConfig {
             launch_issue_cycles: 8,
             max_cycles: 500_000_000,
             engine_mode: EngineMode::Event,
-            fast_forward: true,
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,
@@ -346,7 +347,6 @@ impl GpuConfig {
             launch_issue_cycles: 2,
             max_cycles: 50_000_000,
             engine_mode: EngineMode::Event,
-            fast_forward: true,
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,
@@ -601,6 +601,14 @@ mod tests {
         assert_eq!(EngineMode::default(), EngineMode::Event);
         assert_eq!(EngineMode::Event.name(), "event");
         assert_eq!(EngineMode::CycleStepped.name(), "cycle-stepped");
+    }
+
+    #[test]
+    fn engine_mode_names_round_trip() {
+        for m in EngineMode::all() {
+            assert_eq!(EngineMode::from_name(m.name()), Some(m));
+        }
+        assert_eq!(EngineMode::from_name("stepped"), None);
     }
 
     #[test]

@@ -713,7 +713,7 @@ pub struct SimStats {
     pub engine: Option<EngineStats>,
     /// Per-TB lifecycle latency attribution; `Some` only when the run
     /// had `GpuConfig::profile_latency` set. Machine-observing, so it
-    /// is bit-identical across engine modes and fast-forward settings.
+    /// is bit-identical across engine modes.
     pub latency: Option<LatencyStats>,
 }
 

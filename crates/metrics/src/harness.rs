@@ -10,7 +10,7 @@ use gpu_sim::engine::Simulator;
 use gpu_sim::error::SimError;
 use gpu_sim::fault::FaultPlan;
 use gpu_sim::stats::{Pow2Hist, SimStats, StallBreakdown, NUM_WAKE_SOURCES};
-use gpu_sim::tb_sched::{RoundRobinScheduler, TbScheduler};
+use gpu_sim::tb_sched::{RandomScheduler, RoundRobinScheduler, TbScheduler};
 use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
 use workloads::{SharedSource, Workload};
 
@@ -49,6 +49,11 @@ impl SchedulerKind {
         }
     }
 
+    /// The scheduler whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::all().into_iter().find(|k| k.name() == name)
+    }
+
     /// Builds the scheduler for a GPU configuration.
     pub fn build(self, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
         let laperm_cfg = LaPermConfig::for_gpu(cfg);
@@ -63,6 +68,24 @@ impl SchedulerKind {
             }
         }
     }
+}
+
+/// Builds a scheduler from its command-line name: any [`SchedulerKind`]
+/// name, or `random` (a seeded control policy outside the paper's
+/// matrix). `None` for an unknown name; [`scheduler_names`] lists the
+/// valid ones.
+pub fn scheduler_by_name(name: &str, cfg: &GpuConfig) -> Option<Box<dyn TbScheduler>> {
+    if name == "random" {
+        return Some(Box::new(RandomScheduler::new(1)));
+    }
+    SchedulerKind::from_name(name).map(|k| k.build(cfg))
+}
+
+/// The names [`scheduler_by_name`] accepts, comma-separated.
+pub fn scheduler_names() -> String {
+    let mut names = SchedulerKind::all().map(SchedulerKind::name).join(", ");
+    names.push_str(", random");
+    names
 }
 
 impl std::fmt::Display for SchedulerKind {
@@ -448,6 +471,21 @@ mod tests {
 
     fn workload() -> Arc<dyn Workload> {
         Arc::new(Bfs::new(GraphKind::Citation, Scale::Tiny))
+    }
+
+    #[test]
+    fn scheduler_names_round_trip() {
+        for k in SchedulerKind::all() {
+            assert_eq!(SchedulerKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(SchedulerKind::from_name("random"), None);
+        assert_eq!(SchedulerKind::from_name("fifo"), None);
+        let cfg = GpuConfig::small_test();
+        for name in scheduler_names().split(", ") {
+            // LaPerm policies report themselves as "laperm-<name>".
+            assert!(scheduler_by_name(name, &cfg).unwrap().name().ends_with(name), "{name}");
+        }
+        assert!(scheduler_by_name("fifo", &cfg).is_none());
     }
 
     #[test]

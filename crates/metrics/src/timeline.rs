@@ -51,13 +51,8 @@ pub fn run_timeline(
     window: u64,
 ) -> Result<Vec<TimelinePoint>, SimError> {
     let window = window.max(1);
-    // Step cycle by cycle: fast-forward would jump over window
-    // boundaries and make the sampling grid depend on the workload's
-    // idle structure. Statistics are identical either way; only the
-    // sample spacing is at stake.
-    let mut cfg = cfg.clone();
-    cfg.fast_forward = false;
-    let cfg = &cfg;
+    // `step` advances exactly one cycle, so every window spans exactly
+    // `window` cycles whatever the workload's idle structure.
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
         .with_scheduler(scheduler.build(cfg))
         .with_launch_model(model.build(LaunchLatency::default_for(model)));

@@ -40,6 +40,16 @@ impl Scale {
             Scale::Paper => "paper",
         }
     }
+
+    /// All four presets, smallest first.
+    pub fn all() -> [Scale; 4] {
+        [Scale::Tiny, Scale::Ci, Scale::Small, Scale::Paper]
+    }
+
+    /// The preset whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::all().into_iter().find(|s| s.name() == name)
+    }
 }
 
 impl std::fmt::Display for Scale {
@@ -63,5 +73,13 @@ mod tests {
     fn names() {
         assert_eq!(Scale::Tiny.to_string(), "tiny");
         assert_eq!(Scale::Paper.to_string(), "paper");
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for s in Scale::all() {
+            assert_eq!(Scale::from_name(s.name()), Some(s));
+        }
+        assert_eq!(Scale::from_name("huge"), None);
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end determinism: the simulator is a pure function of its
-//! inputs, and the idle-cycle fast-forward optimization changes *no*
+//! inputs, and the event engine's idle-cycle fast-forward changes *no*
 //! observable statistic — it only skips cycles that would have been
-//! no-ops (see the "Performance" section of docs/ARCHITECTURE.md).
+//! no-ops. Each fast-forward test diffs the event engine against the
+//! cycle-stepped oracle, which never skips (see the "Engine" section of
+//! docs/ARCHITECTURE.md).
 
 use std::sync::Arc;
 
@@ -21,11 +23,11 @@ fn run(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, u64) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
         .with_launch_model(model.build(LaunchLatency::default_for(model)));
@@ -41,11 +43,11 @@ fn run_traced(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, Vec<TraceRecord>) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
@@ -63,8 +65,8 @@ fn repeated_runs_are_bit_identical() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
         for sched in SchedulerKind::all() {
-            let (a, _) = run(w, LaunchModelKind::Dtbl, sched, true);
-            let (b, _) = run(w, LaunchModelKind::Dtbl, sched, true);
+            let (a, _) = run(w, LaunchModelKind::Dtbl, sched, EngineMode::Event);
+            let (b, _) = run(w, LaunchModelKind::Dtbl, sched, EngineMode::Event);
             assert_eq!(a, b, "{} under {sched} diverged between runs", w.full_name());
         }
     }
@@ -77,15 +79,15 @@ fn fast_forward_changes_no_statistic() {
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in SchedulerKind::all() {
-                let (on, skipped) = run(w, model, sched, true);
-                let (off, none_skipped) = run(w, model, sched, false);
+                let (on, skipped) = run(w, model, sched, EngineMode::Event);
+                let (off, none_skipped) = run(w, model, sched, EngineMode::CycleStepped);
                 assert_eq!(
                     on,
                     off,
                     "{} under {model}/{sched}: fast-forward changed the statistics",
                     w.full_name()
                 );
-                assert_eq!(none_skipped, 0, "fast-forward ran while disabled");
+                assert_eq!(none_skipped, 0, "the cycle-stepped oracle skipped a cycle");
                 total_skipped += skipped;
             }
         }
@@ -103,11 +105,11 @@ fn run_limited(
     model: LaunchModelKind,
     sched: SchedulerKind,
     policy: OverflowPolicy,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, u64) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     cfg.launch_limits = LaunchLimits {
         kmu_capacity: Some(2),
         pending_launch_capacity: Some(2),
@@ -125,9 +127,10 @@ fn run_limited(
 }
 
 /// Backpressure determinism: with finite launch-path capacities under
-/// either overflow policy, fast-forward still changes no statistic —
-/// stalled parents, spilled launches, and backlogged kernels all resolve
-/// on the same cycles whether idle gaps were stepped or jumped.
+/// either overflow policy, the event engine's fast-forward still changes
+/// no statistic against the oracle — stalled parents, spilled launches,
+/// and backlogged kernels all resolve on the same cycles whether idle
+/// gaps were stepped or jumped.
 #[test]
 fn finite_limits_are_fast_forward_invariant() {
     let all = suite(Scale::Tiny);
@@ -136,9 +139,9 @@ fn finite_limits_are_fast_forward_invariant() {
     for w in all.iter().take(2) {
         for model in LaunchModelKind::all() {
             for policy in policies {
-                let (on, _) = run_limited(w, model, SchedulerKind::AdaptiveBind, policy, true);
-                let (off, skipped) =
-                    run_limited(w, model, SchedulerKind::AdaptiveBind, policy, false);
+                let sched = SchedulerKind::AdaptiveBind;
+                let (on, _) = run_limited(w, model, sched, policy, EngineMode::Event);
+                let (off, skipped) = run_limited(w, model, sched, policy, EngineMode::CycleStepped);
                 assert_eq!(
                     on,
                     off,
@@ -146,7 +149,7 @@ fn finite_limits_are_fast_forward_invariant() {
                     w.full_name(),
                     policy.name()
                 );
-                assert_eq!(skipped, 0, "fast-forward ran while disabled");
+                assert_eq!(skipped, 0, "the cycle-stepped oracle skipped a cycle");
             }
         }
     }
@@ -160,64 +163,63 @@ fn finite_limit_runs_are_bit_identical() {
     let w = all.first().expect("non-empty suite");
     for policy in [OverflowPolicy::StallParent, OverflowPolicy::SpillVirtual { extra_latency: 200 }]
     {
-        let (a, _) = run_limited(w, LaunchModelKind::Dtbl, SchedulerKind::SmxBind, policy, true);
-        let (b, _) = run_limited(w, LaunchModelKind::Dtbl, SchedulerKind::SmxBind, policy, true);
+        let (model, sched, engine) =
+            (LaunchModelKind::Dtbl, SchedulerKind::SmxBind, EngineMode::Event);
+        let (a, _) = run_limited(w, model, sched, policy, engine);
+        let (b, _) = run_limited(w, model, sched, policy, engine);
         assert_eq!(a, b, "{} diverged between runs", policy.name());
     }
 }
 
 /// Attaching a fault plan must not silently disable fast-forward: a
-/// faulted run whose launch latencies leave long idle stretches still
-/// skips them (the fault windows become wake-up edges, not an
-/// off-switch), and the skip changes no statistic — in either engine
-/// mode. Guards the regression where `with_fault_plan` cleared
-/// `cfg.fast_forward`.
+/// faulted run whose launch latencies leave long idle stretches is
+/// still skipped by the event engine (the fault windows become wake-up
+/// edges, not an off-switch), and the skip changes no statistic against
+/// the cycle-stepped oracle. Guards the regression where
+/// `with_fault_plan` switched skipping off.
 #[test]
 fn faulted_runs_keep_fast_forward_active() {
     let all = suite(Scale::Tiny);
     let w = all.first().expect("non-empty suite");
-    for engine in [EngineMode::Event, EngineMode::CycleStepped] {
-        let run = |fast_forward: bool| {
-            let mut cfg = GpuConfig::small_test();
-            cfg.num_smxs = 4;
-            cfg.engine_mode = engine;
-            cfg.fast_forward = fast_forward;
-            let model = LaunchModelKind::Cdp;
-            let plan = FaultPlan::new(vec![
-                Fault::QueueFull { from: 100, until: 3_000 },
-                Fault::KillSmx { smx: SmxId(1), from: 200, until: 9_000 },
-            ]);
-            let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-                .with_scheduler(SchedulerKind::AdaptiveBind.build(&cfg))
-                .with_launch_model(model.build(LaunchLatency::default_for(model)))
-                .with_fault_plan(plan);
-            for hk in w.host_kernels() {
-                sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-            }
-            let stats = sim.run_to_completion().expect("faulted run completes");
-            (stats, sim.fast_forwarded_cycles())
-        };
-        let (on, skipped) = run(true);
-        let (off, none_skipped) = run(false);
-        assert_eq!(on, off, "{engine}: fast-forward changed the statistics of a faulted run");
-        assert!(skipped > 0, "{engine}: fault plan silently disabled fast-forward");
-        assert_eq!(none_skipped, 0, "{engine}: fast-forward ran while disabled");
-    }
+    let run = |engine: EngineMode| {
+        let mut cfg = GpuConfig::small_test();
+        cfg.num_smxs = 4;
+        cfg.engine_mode = engine;
+        let model = LaunchModelKind::Cdp;
+        let plan = FaultPlan::new(vec![
+            Fault::QueueFull { from: 100, until: 3_000 },
+            Fault::KillSmx { smx: SmxId(1), from: 200, until: 9_000 },
+        ]);
+        let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
+            .with_scheduler(SchedulerKind::AdaptiveBind.build(&cfg))
+            .with_launch_model(model.build(LaunchLatency::default_for(model)))
+            .with_fault_plan(plan);
+        for hk in w.host_kernels() {
+            sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
+        }
+        let stats = sim.run_to_completion().expect("faulted run completes");
+        (stats, sim.fast_forwarded_cycles())
+    };
+    let (event, skipped) = run(EngineMode::Event);
+    let (oracle, none_skipped) = run(EngineMode::CycleStepped);
+    assert_eq!(event, oracle, "fast-forward changed the statistics of a faulted run");
+    assert!(skipped > 0, "fault plan silently disabled fast-forward");
+    assert_eq!(none_skipped, 0, "the cycle-stepped oracle skipped a cycle");
 }
 
 #[test]
 fn fast_forward_preserves_trace_stream() {
     // Beyond the aggregate statistics: the *event stream* is identical
-    // with fast-forward on and off, modulo the FastForward markers the
-    // optimization itself emits. Every other event lands on the same
-    // cycle with the same payload.
+    // under the event engine and the oracle, modulo the FastForward
+    // markers the event engine's jumps emit. Every other event lands on
+    // the same cycle with the same payload.
     let all = suite(Scale::Tiny);
     let mut jumps = 0;
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind] {
-                let (_, on) = run_traced(w, model, sched, true);
-                let (_, off) = run_traced(w, model, sched, false);
+                let (_, on) = run_traced(w, model, sched, EngineMode::Event);
+                let (_, off) = run_traced(w, model, sched, EngineMode::CycleStepped);
                 jumps +=
                     on.iter().filter(|r| matches!(r.event, TraceEvent::FastForward { .. })).count();
                 let on_filtered: Vec<&TraceRecord> = on
@@ -226,7 +228,7 @@ fn fast_forward_preserves_trace_stream() {
                     .collect();
                 assert!(
                     !off.iter().any(|r| matches!(r.event, TraceEvent::FastForward { .. })),
-                    "FastForward emitted while disabled"
+                    "the cycle-stepped oracle emitted FastForward"
                 );
                 assert_eq!(on_filtered.len(), off.len());
                 for (a, b) in on_filtered.iter().zip(&off) {

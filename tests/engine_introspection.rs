@@ -18,20 +18,10 @@ use sim_metrics::harness::SchedulerKind;
 use workloads::{suite, Scale, SharedSource, Workload};
 
 fn run(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> SimStats {
-    run_ff(w, engine, profile, true)
-}
-
-fn run_ff(
-    w: &Arc<dyn Workload>,
-    engine: EngineMode,
-    profile: bool,
-    fast_forward: bool,
-) -> SimStats {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
     cfg.engine_mode = engine;
     cfg.profile_engine = profile;
-    cfg.fast_forward = fast_forward;
     let model = LaunchModelKind::Dtbl;
     let sched = SchedulerKind::AdaptiveBind;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
@@ -77,24 +67,23 @@ fn wake_sources_partition_iterations_in_both_engines() {
 
 /// Cross-engine: identical `SimStats` once the engine introspection is
 /// stripped, while the introspection itself differs — the event engine
-/// (fast-forward on) iterates strictly fewer times than a cycle-stepped
-/// engine with fast-forward off (which steps every single cycle), and
-/// only the event engine populates the heap histograms. Fast-forward is
-/// semantics-preserving, so even across that flag the simulated
-/// statistics must match.
+/// iterates strictly fewer times than the cycle-stepped oracle (which
+/// steps every single cycle), and only the event engine populates the
+/// heap histograms. Fast-forward is semantics-preserving, so the
+/// simulated statistics must match.
 #[test]
 fn engines_agree_on_simulation_and_differ_in_introspection() {
     let all = suite(Scale::Tiny);
     let w = &all[0];
     let mut event = run(w, EngineMode::Event, true);
-    let mut stepped = run_ff(w, EngineMode::CycleStepped, true, false);
+    let mut stepped = run(w, EngineMode::CycleStepped, true);
     let event_eng = event.engine.take().expect("event engine stats");
     let stepped_eng = stepped.engine.take().expect("stepped engine stats");
     assert_eq!(event, stepped, "simulated statistics must not depend on the engine");
 
-    // Without fast-forward the cycle-stepped engine iterates once per
-    // cycle; the event engine skips idle stretches, so it must iterate
-    // less on a workload with launch-latency gaps.
+    // The cycle-stepped oracle iterates once per cycle; the event
+    // engine skips idle stretches, so it must iterate less on a
+    // workload with launch-latency gaps.
     assert_eq!(stepped_eng.loop_iterations, stepped.cycles);
     assert_eq!(stepped_eng.jump_len.count, 0);
     assert!(
