@@ -13,40 +13,29 @@
 //! differs from the current machine's, the two documents came from
 //! different host classes and wall-clock numbers are not comparable:
 //! misses are annotated in the report but do not fail the gate.
+//!
+//! An unknown flag, a missing value, a non-numeric `--max-regression`
+//! or an unreadable baseline exits 2.
 
+use laperm_bench::cli::{usage_exit, Flags};
 use laperm_bench::hotloop::{
     check_regressions, parse_baseline, parse_host_cpus, render_json, run_hotloop,
 };
 
 fn main() {
-    let mut out_path = String::from("BENCH_hotloop.json");
-    let mut baseline: Vec<(String, f64)> = Vec::new();
-    let mut baseline_host_cpus: Option<usize> = None;
-    let mut max_regression: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => {
-                let path = args.next().expect("--baseline needs a path");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-                baseline = parse_baseline(&text);
-                baseline_host_cpus = parse_host_cpus(&text);
-            }
-            "--max-regression" => {
-                let pct = args.next().expect("--max-regression needs a percentage");
-                max_regression = Some(pct.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-regression expects a percentage, got {pct}");
-                    std::process::exit(2);
-                }));
-            }
-            other => panic!("unknown argument: {other}"),
+    let flags = Flags::from_env(&["--out", "--baseline", "--max-regression"], &[]);
+    let out_path = flags.value("--out").unwrap_or("BENCH_hotloop.json").to_string();
+    let (baseline, baseline_host_cpus) = match flags.value("--baseline") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| usage_exit(format!("cannot read baseline {path}: {e}")));
+            (parse_baseline(&text), parse_host_cpus(&text))
         }
-    }
+        None => (Vec::new(), None),
+    };
+    let max_regression: Option<f64> = flags.number("--max-regression");
     if max_regression.is_some() && baseline.is_empty() {
-        eprintln!("--max-regression needs --baseline FILE to compare against");
-        std::process::exit(2);
+        usage_exit("--max-regression needs --baseline FILE to compare against");
     }
 
     let host_cpus = std::thread::available_parallelism().map(usize::from).unwrap_or(1);

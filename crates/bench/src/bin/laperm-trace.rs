@@ -15,212 +15,91 @@
 //!   --check                validate the document and exit non-zero on violation
 //!   --metrics              also print the run's metrics registry
 //!   --locality             profile cache-hit provenance; print the per-class reuse summary
-//!   --engine-profile       profile the engine; print the two-clock self-profile summary
-//!   --latency              profile TB lifecycle latency; print the attribution summary and
-//!                          draw the launch-DAG critical path as flow arrows in the trace
+//!   --engine-profile       profile the run; print the two-clock engine self-profile summary
+//!   --latency              profile the run (as --engine-profile); print the TB lifecycle
+//!                          attribution summary
 //! ```
 //!
-//! Argument parsing is strict: any token that is not a recognized flag
-//! (or a recognized flag's value) is a hard error listing the valid
-//! flags and names. A typo'd or `--flag=value`-style argument therefore
-//! fails loudly instead of silently running with defaults.
+//! A profiled run (either flag) also draws the engine's host-time track
+//! and the launch-DAG critical path as flow arrows in the trace.
+//!
+//! Argument parsing is strict ([`laperm_bench::cli`]): any token that
+//! is not a recognized flag (or a recognized flag's value) exits 2,
+//! listing the valid flags and names. A typo'd or `--flag=value`-style
+//! argument therefore fails loudly instead of silently running with
+//! defaults.
 //!
 //! A profiler summary whose statistics are missing from the finished
 //! run is likewise a hard error, never an empty table: an empty table
 //! is indistinguishable from a measured zero.
 
-use dynpar::{LaunchLatency, LaunchModelKind};
+use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
-use gpu_sim::engine::Simulator;
 use gpu_sim::trace::VecSink;
-use sim_metrics::harness::{scheduler_by_name, scheduler_names};
+use laperm_bench::cli::RunFlags;
 use sim_metrics::{perfetto_json, registry_for_run, validate_trace};
-use workloads::{suite_seeded, Scale, SharedSource};
-
-struct Options {
-    workload: String,
-    scheduler: String,
-    model: LaunchModelKind,
-    scale: Scale,
-    seed: u64,
-    smxs: Option<u16>,
-    out: String,
-    sample_every: u64,
-    check: bool,
-    metrics: bool,
-    locality: bool,
-    engine_profile: bool,
-    latency: bool,
-}
-
-/// Flags that consume the following token as their value.
-const VALUE_FLAGS: [&str; 8] = [
-    "--workload",
-    "--scheduler",
-    "--model",
-    "--scale",
-    "--seed",
-    "--smxs",
-    "--out",
-    "--sample-every",
-];
-
-/// Boolean flags.
-const BOOL_FLAGS: [&str; 5] =
-    ["--check", "--metrics", "--locality", "--engine-profile", "--latency"];
-
-fn reject_arg(arg: &str) -> ! {
-    eprintln!("unknown argument {arg}");
-    eprintln!("value flags: {} (each takes the next token)", VALUE_FLAGS.join(" "));
-    eprintln!("boolean flags: {}", BOOL_FLAGS.join(" "));
-    eprintln!("schedulers: {}; launch models: cdp, dtbl", scheduler_names());
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Strict pass: every token must be a known flag or the value of the
-    // known value-flag just before it. This turns `--scheduler=foo` and
-    // misspelled flags into hard errors instead of silent defaults.
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if BOOL_FLAGS.contains(&a) {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) {
-            if args.get(i + 1).is_none() {
-                eprintln!("{a} expects a value");
-                std::process::exit(2);
-            }
-            i += 2;
-        } else {
-            reject_arg(a);
-        }
-    }
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let parse_num = |flag: &str| -> Option<u64> {
-        value(flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    Options {
-        workload: value("--workload").unwrap_or_else(|| "bfs-citation".into()),
-        scheduler: value("--scheduler").unwrap_or_else(|| "adaptive-bind".into()),
-        model: value("--model").map_or(LaunchModelKind::Dtbl, |v| {
-            LaunchModelKind::from_name(&v).unwrap_or_else(|| {
-                eprintln!("unknown launch model {v} (cdp, dtbl)");
-                std::process::exit(2);
-            })
-        }),
-        scale: value("--scale").map_or(Scale::Small, |v| {
-            Scale::from_name(&v).unwrap_or_else(|| {
-                eprintln!("unknown scale {v} (tiny, ci, small, paper)");
-                std::process::exit(2);
-            })
-        }),
-        seed: parse_num("--seed").unwrap_or(0),
-        smxs: parse_num("--smxs").map(|n| n as u16),
-        out: value("--out").unwrap_or_else(|| "trace.json".into()),
-        sample_every: parse_num("--sample-every").unwrap_or(1000),
-        check: args.iter().any(|a| a == "--check"),
-        metrics: args.iter().any(|a| a == "--metrics"),
-        locality: args.iter().any(|a| a == "--locality"),
-        engine_profile: args.iter().any(|a| a == "--engine-profile"),
-        latency: args.iter().any(|a| a == "--latency"),
-    }
-}
 
 fn main() {
-    let opts = parse_args();
-    let all = suite_seeded(opts.scale, opts.seed);
-    if opts.workload == "list" {
-        for w in &all {
-            println!("{}", w.full_name());
-        }
-        return;
-    }
-    let Some(workload) = all.iter().find(|w| w.full_name() == opts.workload) else {
-        eprintln!("unknown workload {}; try --workload list", opts.workload);
-        std::process::exit(2);
-    };
+    let (run, flags) = RunFlags::from_env(
+        &["--out", "--sample-every"],
+        &["--check", "--metrics", "--locality", "--engine-profile", "--latency"],
+    );
+    let out = flags.value("--out").unwrap_or("trace.json");
+    let sample_every = flags.number("--sample-every").unwrap_or(1000);
+    let (engine_profile, latency) = (flags.has("--engine-profile"), flags.has("--latency"));
 
     let mut cfg = GpuConfig::kepler_k20c();
-    cfg.profile_locality = opts.locality;
-    cfg.profile_engine = opts.engine_profile;
-    cfg.profile_latency = opts.latency;
-    if let Some(n) = opts.smxs {
-        cfg.num_smxs = n;
-    }
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
-
-    let Some(scheduler) = scheduler_by_name(&opts.scheduler, &cfg) else {
-        eprintln!("unknown scheduler {} ({})", opts.scheduler, scheduler_names());
-        std::process::exit(2);
-    };
+    cfg.profile_locality = flags.has("--locality");
+    cfg.profile_engine = engine_profile || latency;
     let sink = VecSink::new();
-    let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(scheduler)
-        .with_launch_model(opts.model.build(LaunchLatency::default_for(opts.model)))
-        .with_trace(Box::new(sink.clone()));
-    for hk in workload.host_kernels() {
-        if let Err(e) = sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req) {
-            eprintln!("launch failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let mut sim =
+        run.simulator(cfg, LaunchLatency::default_for(run.model), Some(Box::new(sink.clone())));
+    let (max_cycles, num_smxs) = (sim.config().max_cycles, sim.config().num_smxs);
 
     // Step manually, one cycle at a time on the cycle-stepped oracle,
     // so the machine can be sampled for the IPC counter track.
     let mut samples = Vec::new();
-    if opts.sample_every > 0 {
+    if sample_every > 0 {
         samples.push(sim.sample());
     }
-    let mut next_sample = opts.sample_every;
+    let mut next_sample = sample_every;
     while !sim.is_done() {
         if let Err(e) = sim.step() {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
         }
-        if opts.sample_every > 0 && sim.cycle() >= next_sample {
+        if sample_every > 0 && sim.cycle() >= next_sample {
             samples.push(sim.sample());
-            next_sample = sim.cycle() + opts.sample_every;
+            next_sample = sim.cycle() + sample_every;
         }
-        if sim.cycle() > cfg.max_cycles {
-            eprintln!("simulation exceeded {} cycles", cfg.max_cycles);
+        if sim.cycle() > max_cycles {
+            eprintln!("simulation exceeded {max_cycles} cycles");
             std::process::exit(1);
         }
     }
     let stats = sim.stats();
     let records = sink.records();
 
-    let json = perfetto_json(&records, &stats, &samples, cfg.num_smxs);
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("cannot write {}: {e}", opts.out);
+    let json = perfetto_json(&records, &stats, &samples, num_smxs);
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
 
     println!(
         "{} | {} | {} | {} SMXs | seed {}",
-        workload.full_name(),
-        opts.model,
+        run.workload.full_name(),
+        run.model,
         stats.scheduler,
-        cfg.num_smxs,
-        opts.seed
+        num_smxs,
+        run.seed
     );
     println!(
         "{} cycles, {} trace events, {} TB records -> {} ({} bytes)",
         stats.cycles,
         records.len(),
         stats.tb_records.len(),
-        opts.out,
+        out,
         json.len()
     );
 
@@ -238,32 +117,32 @@ fn main() {
         ),
         Err(e) => {
             eprintln!("trace validation failed: {e}");
-            if opts.check {
+            if flags.has("--check") {
                 std::process::exit(1);
             }
         }
     }
 
-    if opts.metrics {
+    if flags.has("--metrics") {
         let registry = registry_for_run(&stats, &records);
         print!("\n{}", registry.render());
     }
 
-    if opts.locality {
+    if flags.has("--locality") {
         match locality_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--locality", "locality"),
         }
     }
 
-    if opts.engine_profile {
+    if engine_profile {
         match engine_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--engine-profile", "engine"),
         }
     }
 
-    if opts.latency {
+    if latency {
         match latency_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--latency", "latency"),

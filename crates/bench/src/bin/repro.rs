@@ -68,6 +68,9 @@
 //! committed to the cache — the CI `sweep-resilience` job's crash
 //! injection.
 //!
+//! Argument parsing is strict ([`laperm_bench::cli`]): an unknown flag,
+//! a stray token or a missing value exits 2.
+//!
 //! `repro check` exit codes: 0 every assertion passed; 1 assertion
 //! violation(s) on a healthy document; 2 degraded input (the document
 //! carries failed cells — assertions ran over survivors only); 3 the
@@ -78,6 +81,7 @@
 use std::sync::Arc;
 
 use gpu_sim::config::{EngineMode, GpuConfig};
+use laperm_bench::cli::{usage_exit, Flags};
 use laperm_bench::sweep::{matrix_cells_for, run_matrix_cells};
 use laperm_bench::{
     ablate, check_document, default_jobs, fig2, fig7, fig8, fig9, figure4, full_report, generality,
@@ -100,56 +104,52 @@ struct Args {
     resilience: Resilience,
 }
 
+/// Flags that consume the following token as their value (`repro` has
+/// no boolean flags).
+const VALUE_FLAGS: [&str; 10] = [
+    "--scale",
+    "--jobs",
+    "--json",
+    "--engine",
+    "--programs",
+    "--cache-dir",
+    "--retries",
+    "--retry-backoff-ms",
+    "--cell-deadline",
+    "--kill-after-cells",
+];
+
 fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let experiment = args.first().map(String::as_str).unwrap_or("all").to_string();
-    let operand = args.get(1).filter(|a| !a.starts_with('-')).cloned();
-    let value_of = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let scale = match value_of("--scale") {
+    let mut args = std::env::args().skip(1).peekable();
+    let experiment = args.next().unwrap_or_else(|| "all".to_string());
+    let operand = if experiment == "dsl" { args.next_if(|a| !a.starts_with('-')) } else { None };
+    let flags = Flags::parse(args, &VALUE_FLAGS, &[]).unwrap_or_else(|e| usage_exit(e));
+    let scale = match flags.value("--scale") {
         None => Scale::Paper,
         Some(s) => Scale::from_name(s).unwrap_or_else(|| {
-            eprintln!("unknown scale {s}; choose tiny, ci, small or paper");
-            std::process::exit(2);
+            usage_exit(format!("unknown scale {s}; choose tiny, ci, small or paper"))
         }),
     };
-    let jobs = match value_of("--jobs") {
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a positive integer, got {n}");
-            std::process::exit(2);
-        }),
-        None => default_jobs(),
-    };
-    let json_path = value_of("--json").map(String::from);
-    let engine = match value_of("--engine") {
+    let jobs = flags.number("--jobs").unwrap_or_else(default_jobs);
+    let json_path = flags.value("--json").map(String::from);
+    let engine = match flags.value("--engine") {
         None => EngineMode::Event,
         Some(s) => EngineMode::from_name(s).unwrap_or_else(|| {
-            eprintln!("unknown engine {s}; choose event or cycle-stepped");
-            std::process::exit(2);
+            usage_exit(format!("unknown engine {s}; choose event or cycle-stepped"))
         }),
     };
-    let programs = match value_of("--programs") {
+    let programs = match flags.value("--programs") {
         None => ProgramPath::Generator,
         Some(s) => ProgramPath::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown program path {s}; choose generator or dsl");
-            std::process::exit(2);
+            usage_exit(format!("unknown program path {s}; choose generator or dsl"))
         }),
     };
-    let int_flag = |flag: &str| -> Option<u64> {
-        value_of(flag).map(|n| {
-            n.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a non-negative integer, got {n}");
-                std::process::exit(2);
-            })
-        })
-    };
     let resilience = Resilience {
-        cache_dir: value_of("--cache-dir").map(std::path::PathBuf::from),
-        retries: int_flag("--retries").map(|n| n as u32).unwrap_or(0),
-        backoff_ms: int_flag("--retry-backoff-ms").unwrap_or(100),
-        cell_deadline: int_flag("--cell-deadline"),
-        kill_after_cells: int_flag("--kill-after-cells"),
+        cache_dir: flags.value("--cache-dir").map(std::path::PathBuf::from),
+        retries: flags.number("--retries").unwrap_or(0),
+        backoff_ms: flags.number("--retry-backoff-ms").unwrap_or(100),
+        cell_deadline: flags.number("--cell-deadline"),
+        kill_after_cells: flags.number("--kill-after-cells"),
         faults: None,
         sim_fault_seed: None,
     };
@@ -223,7 +223,7 @@ fn run_profile(args: &Args) {
 
 /// `repro latency`: the Section IV-D launch-latency sensitivity sweep
 /// followed by the TB lifecycle attribution and critical-path tables,
-/// which rerun the matrix with latency profiling on. Nothing is written
+/// which rerun the matrix with profiling on. Nothing is written
 /// to disk — the profiled `repro.json` artifact comes from `repro
 /// profile`, whose document now also carries the latency objects.
 fn run_latency(args: &Args) {

@@ -16,39 +16,33 @@
 //! the sweep's scalability, and readers (including the CI gate) must
 //! annotate rather than fail on them (`--jobs 8` at 0.91x on a 1-cpu
 //! host is the host's fault, not a scaling regression).
+//!
+//! An unknown flag, a missing value or a bad `--scale`/`--jobs` exits 2.
 
 use std::time::Instant;
 
 use gpu_sim::config::GpuConfig;
+use laperm_bench::cli::{usage_exit, Flags};
 use laperm_bench::sweep::run_matrix_jobs;
 use workloads::Scale;
 
 fn main() {
-    let mut out_path = String::from("BENCH_sweep.json");
-    let mut scale = Scale::Paper;
-    let mut jobs_list: Vec<usize> = vec![1, 8];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--scale" => {
-                let name = args.next();
-                scale = name
-                    .as_deref()
-                    .and_then(Scale::from_name)
-                    .unwrap_or_else(|| panic!("--scale expects tiny|ci|small|paper, got {name:?}"));
-            }
-            "--jobs" => {
-                let list = args.next().expect("--jobs needs a comma-separated list");
-                jobs_list = list
-                    .split(',')
-                    .map(|n| n.parse().unwrap_or_else(|_| panic!("bad job count {n}")))
-                    .collect();
-                assert!(!jobs_list.is_empty(), "--jobs list is empty");
-            }
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+    let flags = Flags::from_env(&["--out", "--scale", "--jobs"], &[]);
+    let out_path = flags.value("--out").unwrap_or("BENCH_sweep.json").to_string();
+    let scale = flags.value("--scale").map_or(Scale::Paper, |v| {
+        Scale::from_name(v)
+            .unwrap_or_else(|| usage_exit(format!("--scale expects tiny|ci|small|paper, got {v}")))
+    });
+    let jobs_list: Vec<usize> = flags.value("--jobs").map_or(vec![1, 8], |list| {
+        list.split(',')
+            .map(|n| n.parse().ok().filter(|&j| j > 0))
+            .collect::<Option<_>>()
+            .unwrap_or_else(|| {
+                usage_exit(format!(
+                    "--jobs expects a comma-separated list of positive integers, got {list}"
+                ))
+            })
+    });
 
     let cfg = GpuConfig::kepler_k20c();
     let host_cpus = std::thread::available_parallelism().map(usize::from).unwrap_or(1);

@@ -392,7 +392,6 @@ impl SweepDoc {
         cfg.profile_locality = true;
         cfg.engine_mode = engine_mode;
         cfg.profile_engine = profile_engine;
-        cfg.profile_latency = profile_engine;
         let cells = matrix_cells_for(&all);
         let sweep_tag = format!("{}/{seed}", scale.name());
         let (outcome, report) = run_matrix_cells_resilient(&cells, jobs, &cfg, &sweep_tag, res)?;

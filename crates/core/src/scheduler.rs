@@ -627,6 +627,7 @@ mod tests {
             }),
             priority: Priority(1),
             created_at: 0,
+            matured_at: 0,
             schedulable_at: Some(0),
             state: BatchState::Schedulable,
             next_tb: 0,
@@ -674,6 +675,7 @@ mod tests {
             }),
             priority: Priority(depth),
             created_at: 0,
+            matured_at: 0,
             schedulable_at: None,
             state: BatchState::Pending,
             next_tb: 0,
@@ -725,6 +727,7 @@ mod tests {
             origin: None,
             priority: Priority::HOST,
             created_at: 0,
+            matured_at: 0,
             schedulable_at: None,
             state: BatchState::Pending,
             next_tb: 0,

@@ -136,6 +136,7 @@ mod tests {
             }),
             priority: Priority(u8::from(origin.is_some())),
             created_at: 0,
+            matured_at: 0,
             schedulable_at: None,
             state: BatchState::Complete,
             next_tb: 4,

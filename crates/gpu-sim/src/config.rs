@@ -224,16 +224,22 @@ pub struct GpuConfig {
     /// with it on or off.
     pub profile_locality: bool,
 
-    /// Engine introspection profiling: tag every engine-loop iteration
-    /// with its [`WakeSource`](crate::stats::WakeSource), histogram
-    /// event-heap depth / due events per cycle / fast-forward jump
-    /// lengths, and sample host-time spans around each engine stage.
-    /// Off by default; when off the simulator allocates no profiling
-    /// state and the hot loop takes one `Option` branch per stage.
-    /// Profiling is purely observational — cycles and every other
-    /// statistic are identical with it on or off — but the resulting
+    /// The profiled-run switch. Engine introspection: tag every
+    /// engine-loop iteration with its
+    /// [`WakeSource`](crate::stats::WakeSource), histogram event-heap
+    /// depth / due events per cycle / fast-forward jump lengths, and
+    /// sample host-time spans around each engine stage. Latency
+    /// attribution: [`SimStats::latency`](crate::stats::SimStats::latency)
+    /// is derived from the per-TB lifecycle stamps every run keeps in
+    /// its [`TbRecord`](crate::stats::TbRecord)s. Off by default; when
+    /// off the simulator allocates no profiling state and the hot loop
+    /// takes one `Option` branch per stage. Profiling is purely
+    /// observational — cycles and every other statistic are identical
+    /// with it on or off. The resulting
     /// [`EngineStats`](crate::stats::EngineStats) deliberately differs
-    /// between engine modes (it observes the engine, not the machine).
+    /// between engine modes (it observes the engine, not the machine);
+    /// the [`LatencyStats`](crate::stats::LatencyStats) observes the
+    /// machine and is bit-identical across them.
     pub profile_engine: bool,
 
     /// Host-time sampling stride for engine profiling: one in this many
@@ -241,20 +247,6 @@ pub struct GpuConfig {
     /// profiling overhead. Must be nonzero; ignored unless
     /// `profile_engine` is set.
     pub engine_host_sampling: u64,
-
-    /// Per-TB lifecycle latency attribution: stamp every TB's lifecycle
-    /// edges (launch issued → KMU-matured → scheduler-enqueued →
-    /// dispatched → first issue → retired), decompose each lifetime into
-    /// the exactly-partitioning sum `launch_path + queue_wait +
-    /// dispatch_gap + exec`, and extract the parent→child critical path
-    /// of the run. Off by default; when off the simulator allocates no
-    /// lifecycle state and the dispatch/retire paths take one `Option`
-    /// branch each. Profiling is purely observational — cycles and every
-    /// other statistic are identical with it on or off, and the
-    /// resulting [`LatencyStats`](crate::stats::LatencyStats) observes
-    /// the simulated machine, so it is bit-identical across engine
-    /// modes.
-    pub profile_latency: bool,
 
     /// Finite launch-path capacities and the overflow policy applied at
     /// each. Defaults to unbounded, which is bit-identical to the
@@ -311,7 +303,6 @@ impl GpuConfig {
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,
-            profile_latency: false,
             launch_limits: LaunchLimits::unbounded(),
             watchdog_window: Some(2_000_000),
         }
@@ -350,7 +341,6 @@ impl GpuConfig {
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,
-            profile_latency: false,
             launch_limits: LaunchLimits::unbounded(),
             watchdog_window: Some(500_000),
         }

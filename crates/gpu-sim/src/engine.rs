@@ -2,7 +2,7 @@
 //! model, and TB scheduler, and advances them cycle by cycle.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 use crate::cache::{AccessClass, Lineage, ReuseClass};
@@ -17,10 +17,7 @@ use crate::launch::{Delivery, DynamicLaunchModel, ImmediateLaunchModel, LaunchRe
 use crate::mem::MemorySystem;
 use crate::program::{KernelKindId, ProgramSource};
 use crate::smx::{Smx, SmxResources, TbCompletion};
-use crate::stats::{
-    CriticalPath, EngineStats, LatencyStats, LocalityStats, Pow2Hist, SimStats, TbRecord,
-    WakeSource,
-};
+use crate::stats::{EngineStats, LatencyStats, LocalityStats, SimStats, TbRecord, WakeSource};
 use crate::tb_sched::{DispatchDecision, DispatchView, KmuView, RoundRobinScheduler, TbScheduler};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::types::{BatchId, Cycle, Priority, SmxId, TbRef};
@@ -60,35 +57,6 @@ impl EngineProf {
     }
 }
 
-/// Per-TB lifecycle stamps held engine-side while latency profiling
-/// (`cfg.profile_latency`) is on, boxed behind an `Option` so
-/// unprofiled runs allocate nothing (the locality profiler's
-/// zero-cost-when-off pattern). `Batch` already carries `created_at`
-/// and `schedulable_at` and `TbRecord` the dispatch/retire cycles; the
-/// remaining edges live here so the public types stay unchanged.
-struct LatencyState {
-    /// Cycle each batch's launch matured into the scheduling hardware
-    /// (KMU enqueue for kernels, direct KDU attach for DTBL groups),
-    /// indexed by `BatchId`; `Cycle::MAX` until maturation.
-    batch_matured: Vec<Cycle>,
-    /// Per-TB stamps, parallel to `Simulator::tb_records`.
-    tb: Vec<TbLat>,
-}
-
-/// The lifecycle edges of one TB that `TbRecord` does not carry.
-#[derive(Clone, Copy)]
-struct TbLat {
-    /// Cycle the TB's batch matured (entered KMU/KDU).
-    matured_at: Cycle,
-    /// Cycle the TB's batch became schedulable (entered the KDU).
-    schedulable_at: Cycle,
-    /// Cycle the TB's first instruction issued; `Cycle::MAX` until the
-    /// TB retires (stamped from its [`TbCompletion`], with retirement
-    /// itself as the fallback for TBs that never issue), so the
-    /// sentinel doubles as "not finished yet" during a run.
-    first_issue_at: Cycle,
-}
-
 /// A complete GPU simulation.
 ///
 /// Build one with [`Simulator::new`], optionally swap in a TB scheduler
@@ -113,8 +81,9 @@ pub struct Simulator {
     sched_head: usize,
     undispatched: u64,
     dispatch_seq: u64,
+    // One record per placed TB, in dispatch order: the TB placed with
+    // sequence number `n` owns `tb_records[n - 1]`.
     tb_records: Vec<TbRecord>,
-    record_index: HashMap<TbRef, usize>,
     fast_forwarded_cycles: u64,
     // Finite-launch-path state. All four queues stay empty under the
     // default unbounded limits with no fault plan, so the default
@@ -147,9 +116,6 @@ pub struct Simulator {
     // structural histograms, and sampled host-time spans. `None` (no
     // allocation, no work) when profiling is off.
     engine_prof: Option<Box<EngineProf>>,
-    // Per-TB lifecycle stamps (`cfg.profile_latency`); `None` when
-    // latency profiling is off.
-    latency: Option<Box<LatencyState>>,
     // Scratch buffers reused every cycle so the hot loop allocates
     // nothing in steady state.
     delivery_scratch: Vec<Delivery>,
@@ -207,7 +173,6 @@ impl Simulator {
             undispatched: 0,
             dispatch_seq: 0,
             tb_records: Vec::new(),
-            record_index: HashMap::new(),
             fast_forwarded_cycles: 0,
             launch_backlog: VecDeque::new(),
             spill_queue: VecDeque::new(),
@@ -228,9 +193,6 @@ impl Simulator {
             engine_prof: cfg
                 .profile_engine
                 .then(|| Box::new(EngineProf::new(cfg.engine_host_sampling))),
-            latency: cfg
-                .profile_latency
-                .then(|| Box::new(LatencyState { batch_matured: Vec::new(), tb: Vec::new() })),
             delivery_scratch: Vec::new(),
             smx_free_scratch: Vec::new(),
             sched_trace_scratch: Vec::new(),
@@ -370,22 +332,8 @@ impl Simulator {
     ) -> Result<BatchId, SimError> {
         let id = self.create_batch(BatchKind::HostKernel, kind, param, num_tbs, req, None)?;
         self.kmu.push(id);
-        self.lat_mature(id, self.cycle);
         self.emit(self.cycle, TraceEvent::KernelQueued { batch: id });
         Ok(id)
-    }
-
-    /// Stamps batch `id`'s maturation cycle — its entry into the
-    /// scheduling hardware — when latency profiling is on. A branch and
-    /// nothing else otherwise.
-    fn lat_mature(&mut self, id: BatchId, at: Cycle) {
-        if let Some(lat) = &mut self.latency {
-            let idx = id.index();
-            if lat.batch_matured.len() <= idx {
-                lat.batch_matured.resize(idx + 1, Cycle::MAX);
-            }
-            lat.batch_matured[idx] = at;
-        }
     }
 
     fn create_batch(
@@ -428,6 +376,7 @@ impl Simulator {
             origin,
             priority,
             created_at: self.cycle,
+            matured_at: self.cycle,
             schedulable_at: None,
             state: BatchState::Pending,
             next_tb: 0,
@@ -1134,106 +1083,11 @@ impl Simulator {
                 }
             }),
             engine: self.engine_prof.as_ref().map(|p| p.stats.clone()),
-            latency: self.latency.as_ref().map(|l| self.build_latency_stats(l)),
+            latency: self
+                .cfg
+                .profile_engine
+                .then(|| LatencyStats::from_records(&self.tb_records, self.kmu.depth_hwm())),
         }
-    }
-
-    /// Aggregates the per-TB lifecycle stamps into [`LatencyStats`].
-    /// Only retired TBs contribute (the `first_issue_at` sentinel marks
-    /// unfinished ones); on a completed run that is every dispatched TB,
-    /// which the `lat-partition-exact` shape assertion relies on.
-    fn build_latency_stats(&self, l: &LatencyState) -> LatencyStats {
-        use std::collections::BTreeMap;
-        let mut s = LatencyStats { kmu_depth_hwm: self.kmu.depth_hwm(), ..LatencyStats::default() };
-        let mut depth: BTreeMap<u8, Pow2Hist> = BTreeMap::new();
-        let mut kind: BTreeMap<u16, Pow2Hist> = BTreeMap::new();
-        for (r, t) in self.tb_records.iter().zip(&l.tb) {
-            if t.first_issue_at == Cycle::MAX {
-                continue; // still resident at stats() time
-            }
-            let ordered = r.created_at <= t.matured_at
-                && t.matured_at <= t.schedulable_at
-                && t.schedulable_at <= r.dispatched_at
-                && r.dispatched_at <= t.first_issue_at
-                && t.first_issue_at <= r.finished_at;
-            if !ordered {
-                // Out-of-order stamps would make the components lie;
-                // count the TB instead of recording a garbage partition.
-                s.partition_violations += 1;
-                continue;
-            }
-            s.tbs += 1;
-            let queue_wait = r.dispatched_at - t.schedulable_at;
-            s.launch_path.record(t.schedulable_at - r.created_at);
-            s.kmu_wait.record(t.schedulable_at - t.matured_at);
-            s.queue_wait.record(queue_wait);
-            s.dispatch_gap.record(t.first_issue_at - r.dispatched_at);
-            s.exec.record(r.finished_at - t.first_issue_at);
-            s.lifetime.record(r.finished_at - r.created_at);
-            if r.is_dynamic {
-                s.child_queue_wait.record(queue_wait);
-                if r.parent.is_some_and(|(_, _, parent_smx)| parent_smx == r.smx) {
-                    s.bound_queue_wait.record(queue_wait);
-                } else {
-                    s.stolen_queue_wait.record(queue_wait);
-                }
-            }
-            depth.entry(r.priority.0).or_default().record(queue_wait);
-            kind.entry(r.kind.0).or_default().record(r.finished_at - r.created_at);
-        }
-        s.depth_queue_wait = depth.into_iter().collect();
-        s.kind_lifetime = kind.into_iter().collect();
-        s.critical_path = self.build_critical_path(l);
-        s
-    }
-
-    /// Extracts the run's critical path: starting from the TB that
-    /// retired last (earliest dispatch index on ties, deterministic),
-    /// walk the `TbRecord::parent` lineage root-ward. Each chain TB
-    /// contributes `first_issue - created` to queueing and the span from
-    /// its first issue to its chain-child's launch issue (retirement,
-    /// for the final TB) to execution, so the two sums telescope to
-    /// exactly `finished(final) - created(top)` — a child's launch is
-    /// issued at or after its parent's first instruction. The walk stops
-    /// early at a still-resident ancestor (a parent can outlive its
-    /// children); the attribution stays exact for the truncated chain.
-    fn build_critical_path(&self, l: &LatencyState) -> CriticalPath {
-        let mut last: Option<usize> = None;
-        for (i, (r, t)) in self.tb_records.iter().zip(&l.tb).enumerate() {
-            if t.first_issue_at == Cycle::MAX {
-                continue;
-            }
-            if last.is_none_or(|j| r.finished_at > self.tb_records[j].finished_at) {
-                last = Some(i);
-            }
-        }
-        let Some(last) = last else { return CriticalPath::default() };
-        let final_finished = self.tb_records[last].finished_at;
-        let mut cp = CriticalPath::default();
-        let mut i = last;
-        // `created_at` of the previously visited (chain-child) TB; the
-        // final TB's execution span instead ends at its retirement.
-        let mut child_created: Option<Cycle> = None;
-        let mut top_created;
-        loop {
-            let r = &self.tb_records[i];
-            let first_issue = l.tb[i].first_issue_at;
-            cp.chain.push(r.tb);
-            cp.queue_cycles += first_issue.saturating_sub(r.created_at);
-            cp.exec_cycles += child_created.unwrap_or(r.finished_at).saturating_sub(first_issue);
-            child_created = Some(r.created_at);
-            top_created = r.created_at;
-            let Some((parent_batch, parent_tb, _)) = r.parent else { break };
-            let parent = TbRef { batch: parent_batch, index: parent_tb };
-            match self.record_index.get(&parent) {
-                Some(&pi) if l.tb[pi].first_issue_at != Cycle::MAX => i = pi,
-                _ => break,
-            }
-        }
-        cp.len = cp.chain.len() as u32;
-        cp.cycles = final_finished - top_created;
-        cp.chain.reverse();
-        cp
     }
 
     /// Admits a matured launch into the scheduling hardware.
@@ -1265,7 +1119,6 @@ impl Simulator {
                 self.batches[id.index()].created_at = req.issued_at;
                 self.delivered_total += 1;
                 self.kmu.push(id);
-                self.lat_mature(id, now);
                 self.emit(now, TraceEvent::KernelQueued { batch: id });
             }
             Delivery::TbGroup(req) => {
@@ -1287,7 +1140,6 @@ impl Simulator {
                 )?;
                 self.batches[id.index()].created_at = req.issued_at;
                 self.delivered_total += 1;
-                self.lat_mature(id, now);
                 match parent_entry {
                     Some(entry) => {
                         if !self.kdu.attach_group(entry, id) {
@@ -1379,11 +1231,11 @@ impl Simulator {
             });
         }
 
-        let (tb_index, kind, param, req, origin, priority, created_at, schedulable_at) = {
+        let (tb_index, kind, param, req, origin, priority) = {
             let b = &mut self.batches[d.batch.index()];
             let tb_index = b.next_tb;
             b.next_tb += 1;
-            (tb_index, b.kind, b.param, b.req, b.origin, b.priority, b.created_at, b.schedulable_at)
+            (tb_index, b.kind, b.param, b.req, b.origin, b.priority)
         };
         self.undispatched -= 1;
 
@@ -1422,7 +1274,7 @@ impl Simulator {
             self.set_smx_wake(d.smx.index(), at);
         }
         self.emit(now, TraceEvent::TbDispatched { tb, smx: d.smx });
-        self.record_index.insert(tb, self.tb_records.len());
+        let b = &self.batches[d.batch.index()];
         self.tb_records.push(TbRecord {
             tb,
             kind,
@@ -1430,20 +1282,16 @@ impl Simulator {
             priority,
             is_dynamic: origin.is_some(),
             parent: origin.map(|o| (o.parent_batch, o.parent_tb, o.parent_smx)),
-            created_at,
-            dispatched_at: now,
-            finished_at: 0,
-        });
-        if let Some(lat) = &mut self.latency {
+            created_at: b.created_at,
+            matured_at: b.matured_at,
             // A batch is always schedulable before its TBs dispatch; the
             // `Cycle::MAX` fallback would only fire on an engine bug and
             // then surfaces as a partition violation, not a panic.
-            lat.tb.push(TbLat {
-                matured_at: lat.batch_matured.get(d.batch.index()).copied().unwrap_or(Cycle::MAX),
-                schedulable_at: schedulable_at.unwrap_or(Cycle::MAX),
-                first_issue_at: Cycle::MAX,
-            });
-        }
+            schedulable_at: b.schedulable_at.unwrap_or(Cycle::MAX),
+            dispatched_at: now,
+            first_issue_at: Cycle::MAX,
+            finished_at: 0,
+        });
         Ok(())
     }
 
@@ -1465,16 +1313,23 @@ impl Simulator {
     fn finish_tb(&mut self, c: TbCompletion, now: Cycle) -> Result<(), SimError> {
         self.emit(now, TraceEvent::TbCompleted { tb: c.tb, smx: c.smx });
         self.finished_tbs_total += 1;
-        if let Some(&i) = self.record_index.get(&c.tb) {
-            self.tb_records[i].finished_at = c.finished_at;
-            if let Some(lat) = &mut self.latency {
-                // A TB that retired without issuing (empty program)
-                // keeps the SMX sentinel; charge its whole residency to
-                // exec by treating retirement as the first issue.
-                lat.tb[i].first_issue_at =
-                    if c.first_issue_at == Cycle::MAX { c.finished_at } else { c.first_issue_at };
-            }
-        }
+        let record = usize::try_from(c.dispatch_seq)
+            .ok()
+            .and_then(|n| n.checked_sub(1))
+            .and_then(|i| self.tb_records.get_mut(i))
+            .filter(|r| r.tb == c.tb);
+        let Some(record) = record else {
+            return Err(SimError::EngineInvariant {
+                cycle: now,
+                what: format!("retired {} has no record at dispatch seq {}", c.tb, c.dispatch_seq),
+            });
+        };
+        record.finished_at = c.finished_at;
+        // A TB that retired without issuing (empty program) keeps the SMX
+        // sentinel; charge its whole residency to exec by treating
+        // retirement as the first issue.
+        record.first_issue_at =
+            if c.first_issue_at == Cycle::MAX { c.finished_at } else { c.first_issue_at };
         let (complete, entry) = {
             let b = &mut self.batches[c.tb.batch.index()];
             b.finished_tbs += 1;
@@ -1670,8 +1525,9 @@ mod tests {
 
     #[test]
     fn engine_profile_off_leaves_stats_unchanged() {
-        // Profiling is observational: SimStats (minus the engine field)
-        // must be bit-identical with it on and off.
+        // Profiling is observational: SimStats minus the two profiled
+        // fields (engine, latency) must be bit-identical with it on and
+        // off.
         let run = |profile: bool| {
             let mut cfg = GpuConfig::small_test();
             cfg.profile_engine = profile;
@@ -1682,26 +1538,10 @@ mod tests {
         let off = run(false);
         let mut on = run(true);
         assert!(off.engine.is_none());
-        assert!(on.engine.is_some());
-        on.engine = None;
-        assert_eq!(off, on);
-    }
-
-    #[test]
-    fn latency_profile_off_leaves_stats_unchanged() {
-        // Latency profiling is observational: SimStats (minus the
-        // latency field) must be bit-identical with it on and off.
-        let run = |profile: bool| {
-            let mut cfg = GpuConfig::small_test();
-            cfg.profile_latency = profile;
-            let mut sim = Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
-            sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
-            sim.run_to_completion().unwrap()
-        };
-        let off = run(false);
-        let mut on = run(true);
         assert!(off.latency.is_none());
+        assert!(on.engine.is_some());
         assert!(on.latency.is_some());
+        on.engine = None;
         on.latency = None;
         assert_eq!(off, on);
     }
@@ -1711,7 +1551,7 @@ mod tests {
         for mode in [EngineMode::Event, EngineMode::CycleStepped] {
             let mut cfg = GpuConfig::small_test();
             cfg.engine_mode = mode;
-            cfg.profile_latency = true;
+            cfg.profile_engine = true;
             let mut sim = Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
             sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
             let stats = sim.run_to_completion().unwrap();
@@ -1773,12 +1613,40 @@ mod tests {
         let run = |mode: EngineMode| {
             let mut cfg = GpuConfig::small_test();
             cfg.engine_mode = mode;
-            cfg.profile_latency = true;
+            cfg.profile_engine = true;
             let mut sim = Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
             sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
             sim.run_to_completion().unwrap().latency.expect("profiling on")
         };
         assert_eq!(run(EngineMode::Event), run(EngineMode::CycleStepped));
+    }
+
+    #[test]
+    fn retiring_a_tb_without_its_record_is_an_engine_invariant_error() {
+        let mut sim = simple_sim();
+        sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
+        while sim.tb_records.is_empty() {
+            sim.step().unwrap();
+        }
+        let placed = sim.tb_records[0].tb;
+        let stranger = TbRef { batch: placed.batch, index: placed.index + 1 };
+        let completion = |tb, dispatch_seq| TbCompletion {
+            tb,
+            smx: SmxId(0),
+            dispatch_seq,
+            started_at: 0,
+            first_issue_at: Cycle::MAX,
+            finished_at: 0,
+        };
+        // Sequence 0 is never assigned, sequence 99 not yet, and record
+        // 0 belongs to another TB.
+        for c in [completion(placed, 0), completion(placed, 99), completion(stranger, 1)] {
+            let now = sim.cycle();
+            assert!(
+                matches!(sim.finish_tb(c, now), Err(SimError::EngineInvariant { .. })),
+                "{c:?} must be rejected"
+            );
+        }
     }
 
     #[test]

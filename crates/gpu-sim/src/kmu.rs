@@ -31,7 +31,7 @@ impl Kmu {
     /// High-water mark of the pending-queue depth over the run — how
     /// backed up the launch path got at its worst. Maintained
     /// unconditionally (a max of an already-known length is free);
-    /// reported only under latency profiling.
+    /// reported only in a profiled run's latency attribution.
     pub fn depth_hwm(&self) -> u64 {
         self.depth_hwm
     }

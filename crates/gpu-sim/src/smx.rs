@@ -90,9 +90,8 @@ pub struct ResidentTb {
     /// ancestry-free lineage otherwise).
     pub lineage: Lineage,
     /// Cycle the TB's first instruction issued; `Cycle::MAX` until then.
-    /// Only stamped when `GpuConfig::profile_latency` is on — the
-    /// sentinel flows through [`TbCompletion`] and the engine falls back
-    /// to `finished_at` for TBs that retire without issuing (empty
+    /// The sentinel flows through [`TbCompletion`] and the engine falls
+    /// back to `finished_at` for TBs that retire without issuing (empty
     /// programs).
     pub first_issue_at: Cycle,
     /// Earliest cycle any of this TB's warps can act (issue, finalize,
@@ -119,10 +118,13 @@ pub struct TbCompletion {
     pub tb: TbRef,
     /// SMX it ran on.
     pub smx: SmxId,
+    /// Its dispatch sequence number: the engine's `n`-th placed TB owns
+    /// the engine's `n - 1`-th [`TbRecord`](crate::stats::TbRecord).
+    pub dispatch_seq: u64,
     /// Cycle it started.
     pub started_at: Cycle,
-    /// Cycle its first instruction issued (`Cycle::MAX` when latency
-    /// profiling was off or the TB never issued).
+    /// Cycle its first instruction issued (`Cycle::MAX` when the TB
+    /// never issued).
     pub first_issue_at: Cycle,
     /// Cycle it retired.
     pub finished_at: Cycle,
@@ -580,7 +582,7 @@ impl Smx {
         // Every path that reaches here issued an instruction (the
         // credit-blocked launch returned above), so this is the TB's
         // first issue iff the sentinel is still set.
-        if cfg.profile_latency && tb.first_issue_at == Cycle::MAX {
+        if tb.first_issue_at == Cycle::MAX {
             tb.first_issue_at = now;
         }
 
@@ -658,6 +660,7 @@ impl Smx {
                 events.completions.push(TbCompletion {
                     tb: tb.tb,
                     smx: self.id,
+                    dispatch_seq: tb.dispatch_seq,
                     started_at: tb.started_at,
                     first_issue_at: tb.first_issue_at,
                     finished_at: now,

@@ -1,5 +1,7 @@
 //! Simulation statistics.
 
+use std::collections::{BTreeMap, HashMap};
+
 use crate::cache::{CacheStats, ReuseClass, NUM_REUSE_CLASSES};
 use crate::program::KernelKindId;
 use crate::types::{BatchId, Cycle, Priority, SmxId, TbRef};
@@ -441,8 +443,17 @@ pub struct TbRecord {
     pub parent: Option<(BatchId, u32, SmxId)>,
     /// Cycle the batch's launch was issued.
     pub created_at: Cycle,
+    /// Cycle the batch's launch matured into the scheduling hardware
+    /// (KMU enqueue, or direct KDU attach for a DTBL group).
+    pub matured_at: Cycle,
+    /// Cycle the batch became schedulable (entered the KDU).
+    pub schedulable_at: Cycle,
     /// Cycle the TB was dispatched to its SMX.
     pub dispatched_at: Cycle,
+    /// Cycle the TB's first instruction issued; its retirement cycle if
+    /// it never issued (empty program). `Cycle::MAX` until the TB
+    /// retires, so the sentinel doubles as "still resident".
+    pub first_issue_at: Cycle,
     /// Cycle the TB retired (0 until completion).
     pub finished_at: Cycle,
 }
@@ -577,8 +588,56 @@ pub struct CriticalPath {
     pub chain: Vec<TbRef>,
 }
 
-/// Per-TB lifecycle latency attribution; `Some` on [`SimStats`] only
-/// when the run had [`GpuConfig::profile_latency`] set.
+impl CriticalPath {
+    /// Extracts the critical path from per-TB records: starting from
+    /// the TB that retired last (earliest record on ties,
+    /// deterministic), walk the [`TbRecord::parent`] lineage root-ward.
+    /// Each chain TB contributes `first_issue - created` to queueing and
+    /// the span from its first issue to its chain-child's launch issue
+    /// (retirement, for the final TB) to execution, so the two sums
+    /// telescope to exactly `finished(final) - created(top)` — a child's
+    /// launch is issued at or after its parent's first instruction. The
+    /// walk stops early at a still-resident or unrecorded ancestor (a
+    /// parent can outlive its children); the attribution stays exact
+    /// for the truncated chain.
+    pub fn from_records(records: &[TbRecord]) -> Self {
+        let retired = |r: &TbRecord| r.first_issue_at != Cycle::MAX;
+        let mut last: Option<usize> = None;
+        for (i, r) in records.iter().enumerate() {
+            if retired(r) && last.is_none_or(|j| r.finished_at > records[j].finished_at) {
+                last = Some(i);
+            }
+        }
+        let Some(last) = last else { return CriticalPath::default() };
+        let index: HashMap<TbRef, usize> =
+            records.iter().enumerate().map(|(i, r)| (r.tb, i)).collect();
+        let mut cp = CriticalPath::default();
+        let mut r = &records[last];
+        // `created_at` of the previously visited (chain-child) TB; the
+        // final TB's execution span instead ends at its retirement.
+        let mut child_created: Option<Cycle> = None;
+        loop {
+            cp.chain.push(r.tb);
+            cp.queue_cycles += r.first_issue_at.saturating_sub(r.created_at);
+            cp.exec_cycles +=
+                child_created.unwrap_or(r.finished_at).saturating_sub(r.first_issue_at);
+            child_created = Some(r.created_at);
+            let Some((batch, index_in_batch, _)) = r.parent else { break };
+            match index.get(&TbRef { batch, index: index_in_batch }).map(|&i| &records[i]) {
+                Some(parent) if retired(parent) => r = parent,
+                _ => break,
+            }
+        }
+        cp.len = cp.chain.len() as u32;
+        cp.cycles = records[last].finished_at - r.created_at;
+        cp.chain.reverse();
+        cp
+    }
+}
+
+/// Per-TB lifecycle latency attribution, derived from the run's
+/// [`TbRecord`]s by [`LatencyStats::from_records`]; `Some` on
+/// [`SimStats`] only when the run had [`GpuConfig::profile_engine`] set.
 ///
 /// Every dispatched TB's lifetime (launch issue to retirement) is
 /// decomposed into an exactly-partitioning sum of four components, each
@@ -598,7 +657,7 @@ pub struct CriticalPath {
 /// the `lat-partition-exact` shape assertion requires that count to be
 /// zero.
 ///
-/// [`GpuConfig::profile_latency`]: crate::config::GpuConfig::profile_latency
+/// [`GpuConfig::profile_engine`]: crate::config::GpuConfig::profile_engine
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// TBs recorded into the histograms (== dispatched TBs minus
@@ -640,6 +699,56 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// Derives the attribution from per-TB records (as in
+    /// [`SimStats::tb_records`]) and the run's KMU depth high-water
+    /// mark. Only retired TBs contribute (the `first_issue_at` sentinel
+    /// marks resident ones); on a completed run that is every
+    /// dispatched TB, which the `lat-partition-exact` shape assertion
+    /// relies on.
+    pub fn from_records(records: &[TbRecord], kmu_depth_hwm: u64) -> Self {
+        let mut s = LatencyStats { kmu_depth_hwm, ..LatencyStats::default() };
+        let mut depth: BTreeMap<u8, Pow2Hist> = BTreeMap::new();
+        let mut kind: BTreeMap<u16, Pow2Hist> = BTreeMap::new();
+        for r in records {
+            if r.first_issue_at == Cycle::MAX {
+                continue; // still resident
+            }
+            let ordered = r.created_at <= r.matured_at
+                && r.matured_at <= r.schedulable_at
+                && r.schedulable_at <= r.dispatched_at
+                && r.dispatched_at <= r.first_issue_at
+                && r.first_issue_at <= r.finished_at;
+            if !ordered {
+                // Out-of-order stamps would make the components lie;
+                // count the TB instead of recording a garbage partition.
+                s.partition_violations += 1;
+                continue;
+            }
+            s.tbs += 1;
+            let queue_wait = r.dispatched_at - r.schedulable_at;
+            s.launch_path.record(r.schedulable_at - r.created_at);
+            s.kmu_wait.record(r.schedulable_at - r.matured_at);
+            s.queue_wait.record(queue_wait);
+            s.dispatch_gap.record(r.first_issue_at - r.dispatched_at);
+            s.exec.record(r.finished_at - r.first_issue_at);
+            s.lifetime.record(r.finished_at - r.created_at);
+            if r.is_dynamic {
+                s.child_queue_wait.record(queue_wait);
+                if r.parent.is_some_and(|(_, _, parent_smx)| parent_smx == r.smx) {
+                    s.bound_queue_wait.record(queue_wait);
+                } else {
+                    s.stolen_queue_wait.record(queue_wait);
+                }
+            }
+            depth.entry(r.priority.0).or_default().record(queue_wait);
+            kind.entry(r.kind.0).or_default().record(r.finished_at - r.created_at);
+        }
+        s.depth_queue_wait = depth.into_iter().collect();
+        s.kind_lifetime = kind.into_iter().collect();
+        s.critical_path = CriticalPath::from_records(records);
+        s
+    }
+
     /// `p50 / p95 / p99 (mean)` rendering of one histogram, shared by
     /// the CLI summary tables.
     pub fn quantile_line(h: &Pow2Hist) -> String {
@@ -711,9 +820,10 @@ pub struct SimStats {
     /// one observes the *engine*, not the machine: it legitimately
     /// differs between [`EngineMode`](crate::config::EngineMode)s.
     pub engine: Option<EngineStats>,
-    /// Per-TB lifecycle latency attribution; `Some` only when the run
-    /// had `GpuConfig::profile_latency` set. Machine-observing, so it
-    /// is bit-identical across engine modes.
+    /// Per-TB lifecycle latency attribution, derived from `tb_records`
+    /// by [`LatencyStats::from_records`]; `Some` only when the run had
+    /// `GpuConfig::profile_engine` set. Machine-observing, so it is
+    /// bit-identical across engine modes.
     pub latency: Option<LatencyStats>,
 }
 
@@ -957,7 +1067,10 @@ mod tests {
             is_dynamic: dynamic,
             parent: parent_smx.map(|s| (BatchId(0), 0, SmxId(s))),
             created_at: 10,
+            matured_at: 10,
+            schedulable_at: 20,
             dispatched_at: 30,
+            first_issue_at: 30,
             finished_at: 100,
         }
     }
@@ -1170,6 +1283,85 @@ mod tests {
         for needle in ["TB lifetime", "child queue wait", "2 TBs, 90 cycles (30 queue / 60 exec)"] {
             assert!(s.contains(needle), "summary missing {needle}:\n{s}");
         }
+    }
+
+    /// A TB record with its six lifecycle stamps in order: created,
+    /// matured, schedulable, dispatched, first issue, finished. With a
+    /// `parent_smx` it is a depth-1 child of TB (0, 0) on that SMX.
+    fn stamped(tb: (u32, u32), smx: u16, parent_smx: Option<u16>, at: [Cycle; 6]) -> TbRecord {
+        let dynamic = parent_smx.is_some();
+        TbRecord {
+            tb: TbRef { batch: BatchId(tb.0), index: tb.1 },
+            kind: KernelKindId(u16::from(dynamic)),
+            smx: SmxId(smx),
+            priority: Priority(u8::from(dynamic)),
+            is_dynamic: dynamic,
+            parent: parent_smx.map(|s| (BatchId(0), 0, SmxId(s))),
+            created_at: at[0],
+            matured_at: at[1],
+            schedulable_at: at[2],
+            dispatched_at: at[3],
+            first_issue_at: at[4],
+            finished_at: at[5],
+        }
+    }
+
+    #[test]
+    fn latency_attribution_matches_hand_computed_values() {
+        let records = [
+            stamped((0, 0), 0, None, [0, 0, 2, 5, 6, 40]),
+            // Bound child: dispatched to its parent's SMX.
+            stamped((1, 0), 0, Some(0), [10, 14, 20, 25, 25, 60]),
+            // Stolen child: dispatched elsewhere.
+            stamped((1, 1), 1, Some(0), [10, 14, 20, 30, 31, 50]),
+            // Dispatched before it was schedulable: a partition violation.
+            stamped((1, 2), 0, Some(0), [10, 14, 20, 18, 19, 45]),
+            // Still resident: left out entirely.
+            stamped((1, 3), 2, Some(0), [10, 14, 20, 22, Cycle::MAX, 0]),
+        ];
+        let lat = LatencyStats::from_records(&records, 7);
+        assert_eq!((lat.tbs, lat.partition_violations, lat.kmu_depth_hwm), (3, 1, 7));
+        let cs = |h: &Pow2Hist| (h.count, h.sum);
+        // Per recorded TB (host, bound, stolen):
+        //   launch path = schedulable - created: 2 + 10 + 10
+        //   KMU wait = schedulable - matured: 2 + 6 + 6
+        //   queue wait = dispatched - schedulable: 3 + 5 + 10
+        //   dispatch gap = first issue - dispatched: 1 + 0 + 1
+        //   exec = finished - first issue: 34 + 35 + 19
+        //   lifetime = finished - created: 40 + 50 + 40
+        assert_eq!(cs(&lat.launch_path), (3, 22));
+        assert_eq!(cs(&lat.kmu_wait), (3, 14));
+        assert_eq!(cs(&lat.queue_wait), (3, 18));
+        assert_eq!(cs(&lat.dispatch_gap), (3, 2));
+        assert_eq!(cs(&lat.exec), (3, 88));
+        assert_eq!(cs(&lat.lifetime), (3, 130));
+        assert_eq!(cs(&lat.child_queue_wait), (2, 15));
+        assert_eq!(cs(&lat.bound_queue_wait), (1, 5));
+        assert_eq!(cs(&lat.stolen_queue_wait), (1, 10));
+        let depth: Vec<_> = lat.depth_queue_wait.iter().map(|(d, h)| (*d, cs(h))).collect();
+        assert_eq!(depth, [(0, (1, 3)), (1, (2, 15))]);
+        let kind: Vec<_> = lat.kind_lifetime.iter().map(|(k, h)| (*k, cs(h))).collect();
+        assert_eq!(kind, [(0, (1, 40)), (1, (2, 90))]);
+        // The bound child retires last (60). Host: queue 6 - 0, exec
+        // until the child's launch 10 - 6; child: queue 25 - 10, exec
+        // 60 - 25. Weight 60 - 0 = 21 queue + 39 exec.
+        assert_eq!(
+            lat.critical_path,
+            CriticalPath {
+                len: 2,
+                cycles: 60,
+                queue_cycles: 21,
+                exec_cycles: 39,
+                chain: vec![records[0].tb, records[1].tb],
+            }
+        );
+    }
+
+    #[test]
+    fn critical_path_of_no_retired_tb_is_empty() {
+        let resident = stamped((0, 0), 0, None, [0, 0, 0, 1, Cycle::MAX, 0]);
+        assert_eq!(CriticalPath::from_records(&[resident]), CriticalPath::default());
+        assert_eq!(CriticalPath::from_records(&[]), CriticalPath::default());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!
 //! It is also a *latency* decision: the gap between a batch turning
 //! schedulable (`Batch::schedulable_at`) and each of its TBs
-//! dispatching is the queue-wait the policies reorder. When
-//! `GpuConfig::profile_latency` is set, the engine stamps both edges
-//! per TB and the `repro latency` report compares policies by
-//! queue-wait percentiles and critical-path inflation.
+//! dispatching is the queue-wait the policies reorder. The engine
+//! stamps both edges into every TB's `TbRecord`; a profiled run
+//! (`GpuConfig::profile_engine`) derives `LatencyStats` from them, and
+//! the `repro latency` report compares policies by queue-wait
+//! percentiles and critical-path inflation.
 
 use crate::kernel::{Batch, ResourceReq};
 use crate::smx::SmxResources;
@@ -267,6 +268,7 @@ mod tests {
             origin: None,
             priority: Priority::HOST,
             created_at: 0,
+            matured_at: 0,
             schedulable_at: Some(0),
             state: BatchState::Schedulable,
             next_tb,

@@ -177,7 +177,7 @@ pub struct EngineRecord {
 /// Per-TB lifecycle latency summary of one profiled run: the
 /// deterministic aggregation of [`gpu_sim::stats::LatencyStats`] (the
 /// critical-path TB chain stays sim-side; documents carry only its
-/// weights). Present only when the run's [`GpuConfig::profile_latency`]
+/// weights). Present only when the run's [`GpuConfig::profile_engine`]
 /// was on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyRecord {
@@ -297,8 +297,8 @@ pub struct RunRecord {
     /// Engine introspection summary (`None` unless the run profiled
     /// the engine).
     pub engine: Option<EngineRecord>,
-    /// Per-TB lifecycle latency summary (`None` unless the run profiled
-    /// latency).
+    /// Per-TB lifecycle latency summary (`None` unless the run was
+    /// profiled; see [`GpuConfig::profile_engine`]).
     pub latency: Option<LatencyRecord>,
     /// Host-side cost telemetry (always recorded; excluded from
     /// equality and from repro.json).

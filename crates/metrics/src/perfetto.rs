@@ -537,7 +537,10 @@ mod tests {
             is_dynamic: dynamic,
             parent: dynamic.then_some((BatchId(0), 0, SmxId(0))),
             created_at: span.0.saturating_sub(2),
+            matured_at: span.0.saturating_sub(2),
+            schedulable_at: span.0,
             dispatched_at: span.0,
+            first_issue_at: span.0,
             finished_at: span.1,
         }
     }

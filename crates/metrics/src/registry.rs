@@ -422,7 +422,10 @@ mod tests {
                     is_dynamic: false,
                     parent: None,
                     created_at: 0,
+                    matured_at: 0,
+                    schedulable_at: 0,
                     dispatched_at: 0,
+                    first_issue_at: 0,
                     finished_at: 50,
                 },
                 TbRecord {
@@ -433,7 +436,10 @@ mod tests {
                     is_dynamic: true,
                     parent: Some((BatchId(0), 0, SmxId(0))),
                     created_at: 10,
+                    matured_at: 10,
+                    schedulable_at: 10,
                     dispatched_at: 30,
+                    first_issue_at: 30,
                     finished_at: 60,
                 },
             ],

@@ -98,7 +98,8 @@ fn engines_agree_on_simulation_and_differ_in_introspection() {
 }
 
 /// Profiling is observational: the simulated statistics are bit-equal
-/// with and without it.
+/// with and without it, once the two profiled fields (engine
+/// introspection and latency attribution) are stripped.
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
     let all = suite(Scale::Tiny);
@@ -107,7 +108,9 @@ fn profiling_does_not_perturb_the_simulation() {
         let mut with = run(w, engine, true);
         let without = run(w, engine, false);
         assert!(without.engine.is_none(), "unprofiled run must carry no engine stats");
+        assert!(without.latency.is_none(), "unprofiled run must carry no latency stats");
         with.engine = None;
+        with.latency = None;
         assert_eq!(with, without, "profiling changed simulated statistics under {engine:?}");
     }
 }
