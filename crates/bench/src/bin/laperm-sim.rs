@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! laperm-sim [options]
-//!   --workload <name>      suite workload (default bfs-citation); "list" to enumerate
+//!   --workload <name>      suite workload (default bfs-citation); only it is built.
+//!                          "list" prints the 16 names in suite order, generating no input
 //!   --scheduler <name>     rr | tb-pri | smx-bind | adaptive-bind | random (default adaptive-bind)
 //!   --model <name>         cdp | dtbl (default dtbl)
 //!   --scale <name>         tiny | ci | small | paper (default small)

@@ -16,7 +16,7 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::trace::TraceSink;
 use sim_metrics::harness::{scheduler_by_name, scheduler_names};
-use workloads::{suite_seeded, Scale, SharedSource, Workload};
+use workloads::{suite_names, workload_seeded, Scale, SharedSource, Workload};
 
 /// A command line that passed the strict walk.
 #[derive(Debug, PartialEq, Eq)]
@@ -89,7 +89,7 @@ impl Flags {
 
 /// Value flags naming the one simulation `laperm-sim` and
 /// `laperm-trace` run: `--workload` (default bfs-citation; `list`
-/// enumerates the suite), `--scheduler` (default adaptive-bind),
+/// prints the suite's names), `--scheduler` (default adaptive-bind),
 /// `--model` (default dtbl), `--scale` (default small), `--seed`
 /// (default 0) and `--smxs` (SMX-count override).
 pub const RUN_FLAGS: [&str; 6] =
@@ -109,9 +109,10 @@ pub struct RunFlags {
 
 impl RunFlags {
     /// Parses the process arguments against [`RUN_FLAGS`] plus the
-    /// binary's own `value_flags` and `bool_flags`. Exits 2 on a usage
-    /// error or an unknown name; on `--workload list` prints the suite
-    /// and exits 0.
+    /// binary's own `value_flags` and `bool_flags`, and builds only the
+    /// named workload. Exits 2 on a usage error or an unknown name; on
+    /// `--workload list` prints the suite's names in order, generating
+    /// no input, and exits 0.
     pub fn from_env(value_flags: &[&str], bool_flags: &[&str]) -> (RunFlags, Flags) {
         let all_value_flags = [&RUN_FLAGS[..], value_flags].concat();
         let flags = Flags::parse(std::env::args().skip(1), &all_value_flags, bool_flags)
@@ -130,14 +131,13 @@ impl RunFlags {
         });
         let seed = flags.number("--seed").unwrap_or(0);
         let name = flags.value("--workload").unwrap_or("bfs-citation");
-        let all = suite_seeded(scale, seed);
         if name == "list" {
-            for w in &all {
-                println!("{}", w.full_name());
+            for name in suite_names() {
+                println!("{name}");
             }
             std::process::exit(0);
         }
-        let Some(workload) = all.into_iter().find(|w| w.full_name() == name) else {
+        let Some(workload) = workload_seeded(name, scale, seed) else {
             usage_exit(format!("unknown workload {name}; try --workload list"));
         };
         let run = RunFlags {

@@ -7,7 +7,7 @@ use gpu_sim::config::GpuConfig;
 use sim_metrics::footprint::FootprintSummary;
 use sim_metrics::harness::{run_once, run_with_latency, LocalityRecord, RunRecord, SchedulerKind};
 use sim_metrics::report::{mean, pct, ratio, Table};
-use workloads::{suite, Scale, Workload};
+use workloads::{suite, workload_seeded, Scale, Workload};
 
 /// All runs of the main evaluation matrix: every workload under both
 /// launch models and all four schedulers.
@@ -107,6 +107,12 @@ pub fn table1() -> String {
     t.row(vec!["max concurrent kernels".to_string(), cfg.max_concurrent_kernels.to_string()]);
     t.row(vec!["warp scheduler".to_string(), "greedy-then-oldest".to_string()]);
     format!("Table I: GPGPU configuration (Kepler K20c)\n{}", t.render())
+}
+
+/// The canonical (seed 0) suite workload `name`, built without the rest
+/// of the suite.
+fn member(name: &str, scale: Scale) -> Arc<dyn Workload> {
+    workload_seeded(name, scale, 0).expect("suite workload")
 }
 
 /// Table II: the benchmark suite.
@@ -346,9 +352,7 @@ pub fn fig9(m: &MatrixRecords) -> String {
 /// over `jobs` workers.
 pub fn latency_sweep(scale: Scale, jobs: usize) -> String {
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w: &Arc<dyn Workload> =
-        all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
     let mut t =
         Table::new(vec!["launch latency", "rr IPC", "adaptive IPC", "gain", "child wait (rr)"]);
     let bases = [0u32, 500, 1000, 2000, 4000, 8000, 16000];
@@ -382,7 +386,6 @@ pub fn latency_sweep(scale: Scale, jobs: usize) -> String {
 /// dynamic overheads. The per-workload runs fan out over `jobs` workers.
 pub fn overhead(scale: Scale, jobs: usize) -> String {
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
     let mut out = String::from(
         "Overhead analysis (Section IV-E)\n\
          Hardware budget: 3 KB SRAM per SMX = 128 entries x 24 B (~1% of \
@@ -397,8 +400,7 @@ pub fn overhead(scale: Scale, jobs: usize) -> String {
         "steals",
     ]);
     let names = ["bfs-citation", "amr", "join-gaussian", "regx-strings"];
-    let heavy: Vec<&Arc<dyn Workload>> =
-        names.iter().filter_map(|name| all.iter().find(|w| w.full_name() == *name)).collect();
+    let heavy: Vec<Arc<dyn Workload>> = names.iter().map(|name| member(name, scale)).collect();
     let recs = crate::sweep::parallel_map(&heavy, jobs, |w| {
         run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &cfg).expect("overhead run")
     });
@@ -422,7 +424,6 @@ pub fn overhead(scale: Scale, jobs: usize) -> String {
 /// instance. The (workload, seed) grid fans out over `jobs` workers.
 pub fn variance(scale: Scale, jobs: usize) -> String {
     use sim_metrics::report::mean_std;
-    use workloads::suite_seeded;
 
     let cfg = GpuConfig::kepler_k20c();
     let seeds: [u64; 5] = [0, 11, 2025, 424242, 7_777_777];
@@ -433,8 +434,7 @@ pub fn variance(scale: Scale, jobs: usize) -> String {
     let cells: Vec<(&str, u64)> =
         names.iter().flat_map(|&name| seeds.iter().map(move |&seed| (name, seed))).collect();
     let gains = crate::sweep::parallel_map(&cells, jobs, |&(name, seed)| {
-        let all = suite_seeded(scale, seed);
-        let w = all.iter().find(|w| w.full_name() == name).expect("workload");
+        let w = &workload_seeded(name, scale, seed).expect("suite workload");
         let rr =
             run_once(w, LaunchModelKind::Dtbl, SchedulerKind::RoundRobin, &cfg).expect("rr run");
         let ad = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &cfg)
@@ -454,8 +454,7 @@ pub fn variance(scale: Scale, jobs: usize) -> String {
 /// explicitly leaves to future work). Capacity points fan out over
 /// `jobs` workers.
 pub fn sweep_cache(scale: Scale, jobs: usize) -> String {
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
     let mut out = format!(
         "Cache-size sensitivity on bfs-citation, DTBL ({scale} scale)\n\
          (Section IV-F: the paper leaves cache-size effects to future work)\n\n"
@@ -510,8 +509,7 @@ pub fn sweep_cache(scale: Scale, jobs: usize) -> String {
 /// Maxwell-like machine (more, narrower SMs; bigger L2).
 pub fn generality(scale: Scale, jobs: usize) -> String {
     use sim_metrics::report::bar_chart;
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
     let mut out = format!("Architecture generality on bfs-citation, DTBL ({scale} scale)\n\n");
     let machines =
         [("kepler-k20c", GpuConfig::kepler_k20c()), ("maxwell-like", GpuConfig::maxwell_like())];
@@ -538,8 +536,7 @@ pub fn generality(scale: Scale, jobs: usize) -> String {
 pub fn timeline(scale: Scale, jobs: usize) -> String {
     use sim_metrics::timeline::{downsample, run_timeline};
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
     let mut out =
         format!("Timeline: windowed IPC / L1 hit rate on bfs-citation, DTBL ({scale} scale)\n\n");
     let scheds = [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind];
@@ -572,8 +569,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     use workloads::SharedSource;
 
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
 
     let run = |laperm_cfg: LaPermConfig, policy: LaPermPolicy, table_cap: Option<usize>| -> f64 {
         let launch = match table_cap {
@@ -598,7 +594,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
 
     // The nesting clamp only matters on a workload that actually nests:
     // AMR refines recursively (depth 2).
-    let amr = all.iter().find(|w| w.full_name() == "amr").expect("amr in suite");
+    let amr = &member("amr", scale);
     let run_on = |w: &Arc<dyn Workload>, laperm_cfg: LaPermConfig| -> f64 {
         let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
             .with_scheduler(Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)))
@@ -736,8 +732,7 @@ pub fn saturation(scale: Scale, jobs: usize) -> String {
     use workloads::SharedSource;
 
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = &member("bfs-citation", scale);
 
     let caps = [8usize, 16, 32, 64, 128, 256];
     let scheds = SchedulerKind::all();

@@ -34,7 +34,7 @@ use gpu_sim::kernel::ResourceReq;
 use gpu_sim::program::{KernelKindId, LaunchSpec, ProgramSource, TbOp, TbProgram};
 use sim_metrics::harness::SchedulerKind;
 use wdsl::{compile_workload, ExecMode};
-use workloads::{suite, Scale, SharedSource, Workload};
+use workloads::{workload_seeded, Scale, SharedSource, Workload};
 
 use crate::fig4::Figure4Source;
 
@@ -122,10 +122,7 @@ pub fn bench_figure4_toy(iters: u32) -> HotloopResult {
 /// acceptance threshold tracked across PRs.
 pub fn bench_kepler_reference(iters: u32) -> HotloopResult {
     let cfg = GpuConfig::kepler_k20c();
-    let workload: Arc<dyn Workload> = suite(Scale::Small)
-        .into_iter()
-        .find(|w| w.full_name() == "bfs-citation")
-        .expect("bfs-citation in suite");
+    let workload = workload_seeded("bfs-citation", Scale::Small, 0).expect("bfs-citation in suite");
     let sched = SchedulerKind::AdaptiveBind;
     let model = LaunchModelKind::Dtbl;
     let mut cycles = 0u64;
@@ -162,10 +159,8 @@ pub fn bench_kepler_reference(iters: u32) -> HotloopResult {
 /// tracked across PRs like every other case.
 pub fn bench_kepler_reference_dsl(iters: u32) -> HotloopResult {
     let cfg = GpuConfig::kepler_k20c();
-    let generator = suite(Scale::Small)
-        .into_iter()
-        .find(|w| w.full_name() == "bfs-citation")
-        .expect("bfs-citation in suite");
+    let generator =
+        workload_seeded("bfs-citation", Scale::Small, 0).expect("bfs-citation in suite");
     let compiled = compile_workload(generator.as_ref(), ExecMode::Vm)
         .expect("bfs-citation DSL port compiles")
         .expect("bfs-citation has a DSL port");

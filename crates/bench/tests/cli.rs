@@ -1,7 +1,8 @@
 //! Bad command lines exit 2 from every binary that shares the strict
 //! flag walker: an unknown flag, a value flag without its value, or a
 //! value that does not parse. Each case fails during argument parsing,
-//! before any simulation runs or any file is written.
+//! before any simulation runs or any file is written. `--workload list`
+//! exits 0 with the suite's names.
 
 use std::process::Command;
 
@@ -26,6 +27,19 @@ fn laperm_sim_rejects_bad_arguments() {
     assert_usage_error(bin, &["--seed", "x"], "--seed expects a number");
     assert_usage_error(bin, &["--scale", "huge"], "unknown scale huge");
     assert_usage_error(bin, &["--workload", "nope"], "unknown workload nope");
+}
+
+#[test]
+fn workload_list_prints_the_suite_in_order() {
+    let out = Command::new(env!("CARGO_BIN_EXE_laperm-sim"))
+        .args(["--workload", "list"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let names: Vec<String> =
+        workloads::suite(workloads::Scale::Tiny).iter().map(|w| w.full_name()).collect();
+    assert_eq!(names.len(), 16);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), names.join("\n") + "\n");
 }
 
 #[test]

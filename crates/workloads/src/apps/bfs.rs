@@ -5,10 +5,12 @@
 //! gives sibling TBs spatially close neighbor lists on clustered inputs —
 //! the effect Figure 2 of the paper measures across the three graphs).
 
+use std::sync::Arc;
+
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
 
 use crate::apps::graph_common::{GraphApp, GraphFlavor};
-use crate::graph::GraphKind;
+use crate::graph::{Csr, GraphKind};
 use crate::{HostKernel, Scale, Workload};
 
 /// BFS on one of the three Table II graph inputs.
@@ -23,9 +25,10 @@ impl Bfs {
         Bfs { app: GraphApp::new(GraphFlavor::Bfs, kind, scale) }
     }
 
-    /// Builds with an explicit input seed (for multi-sample experiments).
-    pub fn new_seeded(kind: GraphKind, scale: Scale, seed: u64) -> Self {
-        Bfs { app: GraphApp::new_seeded(GraphFlavor::Bfs, kind, scale, seed) }
+    /// Builds over a shared input graph, for example one input seed's
+    /// [`GraphApp::input_graph`] (see [`GraphApp::on_graph`]).
+    pub fn on_graph(kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        Bfs { app: GraphApp::on_graph(GraphFlavor::Bfs, kind, scale, graph) }
     }
 
     /// The underlying graph skeleton (for analysis).

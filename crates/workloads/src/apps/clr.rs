@@ -3,10 +3,12 @@
 //! Heavy vertices launch child TB groups that read all neighbor colors
 //! cooperatively and then commit the vertex's own color.
 
+use std::sync::Arc;
+
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
 
 use crate::apps::graph_common::{GraphApp, GraphFlavor};
-use crate::graph::GraphKind;
+use crate::graph::{Csr, GraphKind};
 use crate::{HostKernel, Scale, Workload};
 
 /// Graph coloring on one of the three Table II graph inputs.
@@ -21,9 +23,10 @@ impl Clr {
         Clr { app: GraphApp::new(GraphFlavor::Clr, kind, scale) }
     }
 
-    /// Builds with an explicit input seed (for multi-sample experiments).
-    pub fn new_seeded(kind: GraphKind, scale: Scale, seed: u64) -> Self {
-        Clr { app: GraphApp::new_seeded(GraphFlavor::Clr, kind, scale, seed) }
+    /// Builds over a shared input graph, for example one input seed's
+    /// [`GraphApp::input_graph`] (see [`GraphApp::on_graph`]).
+    pub fn on_graph(kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        Clr { app: GraphApp::on_graph(GraphFlavor::Clr, kind, scale, graph) }
     }
 
     /// The underlying graph skeleton (for analysis).
@@ -80,9 +83,9 @@ mod tests {
 
     #[test]
     fn seeded_instances_share_structure_not_edges() {
-        let a = Clr::new_seeded(GraphKind::Citation, Scale::Tiny, 1);
-        let b = Clr::new_seeded(GraphKind::Citation, Scale::Tiny, 2);
-        assert_eq!(a.app().graph().num_vertices(), b.app().graph().num_vertices());
-        assert_ne!(a.app().graph(), b.app().graph());
+        let a = GraphApp::new_seeded(GraphFlavor::Clr, GraphKind::Citation, Scale::Tiny, 1);
+        let b = GraphApp::new_seeded(GraphFlavor::Clr, GraphKind::Citation, Scale::Tiny, 2);
+        assert_eq!(a.graph().num_vertices(), b.graph().num_vertices());
+        assert_ne!(a.graph(), b.graph());
     }
 }

@@ -9,6 +9,8 @@
 //! the parent-generated data of Section III-A's temporal-locality
 //! pattern.
 
+use std::sync::Arc;
+
 use gpu_sim::kernel::ResourceReq;
 use gpu_sim::program::{KernelKindId, TbProgram};
 use gpu_sim::types::Addr;
@@ -62,7 +64,7 @@ impl GraphFlavor {
 pub struct GraphApp {
     flavor: GraphFlavor,
     kind: GraphKind,
-    graph: Csr,
+    graph: Arc<Csr>,
     chunk: u32,
     child_threads: u32,
     heavy_threshold: u32,
@@ -87,17 +89,38 @@ impl GraphApp {
     }
 
     /// Builds the benchmark with an explicit input seed (for
-    /// multi-sample experiments).
+    /// multi-sample experiments) over a freshly generated
+    /// [`input_graph`](Self::input_graph). The graph does not depend on
+    /// the flavor, so [`crate::suite_seeded`] generates it once per
+    /// (kind, scale, seed) and builds its BFS, CLR and SSSP with
+    /// [`on_graph`](Self::on_graph) instead.
     pub fn new_seeded(flavor: GraphFlavor, kind: GraphKind, scale: Scale, seed: u64) -> Self {
+        Self::on_graph(flavor, kind, scale, Arc::new(Self::input_graph(kind, scale, seed)))
+    }
+
+    /// Generates the input graph of `kind` at `scale` for input seed
+    /// `seed`: `8 × scale.items()` vertices. BFS, CLR and SSSP read the
+    /// same graph for the same (kind, scale, seed), as in Table II.
+    pub fn input_graph(kind: GraphKind, scale: Scale, seed: u64) -> Csr {
         let n = scale.items() * 8;
-        let avg_degree = match scale {
+        let seed = seed ^ 0x1A9E_0000 ^ u64::from(n) ^ (kind.name().len() as u64) << 32;
+        kind.generate(n, Self::avg_degree(scale), seed)
+    }
+
+    fn avg_degree(scale: Scale) -> u32 {
+        match scale {
             Scale::Tiny => 6,
             Scale::Ci => 8,
             Scale::Small => 8,
             Scale::Paper => 10,
-        };
-        let seed = seed ^ 0x1A9E_0000 ^ u64::from(n) ^ (kind.name().len() as u64) << 32;
-        let graph = kind.generate(n, avg_degree, seed);
+        }
+    }
+
+    /// Builds the benchmark over a shared graph of `kind`, normally one
+    /// from [`input_graph`](Self::input_graph) at the same `scale`
+    /// (`scale` also sets the heavy-vertex threshold).
+    pub fn on_graph(flavor: GraphFlavor, kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        let n = graph.num_vertices();
         let mut layout = Layout::new();
         let m = u64::from(graph.num_edges());
         let row_offsets = layout.alloc(u64::from(n) + 1, 4);
@@ -112,7 +135,7 @@ impl GraphApp {
             graph,
             chunk: Self::CHUNK,
             child_threads: Self::CHILD_THREADS,
-            heavy_threshold: avg_degree * 2,
+            heavy_threshold: Self::avg_degree(scale) * 2,
             row_offsets,
             col_indices,
             frontier,
@@ -122,7 +145,8 @@ impl GraphApp {
         }
     }
 
-    /// The input graph.
+    /// The input graph. Within one [`crate::suite_seeded`] build, the
+    /// BFS, CLR and SSSP of a graph kind return the same graph.
     pub fn graph(&self) -> &Csr {
         &self.graph
     }
@@ -247,7 +271,7 @@ impl GraphApp {
         let neighbors = &self.graph.neighbors(v)[start as usize..(start + cnt) as usize];
         // One allocation, shared by the load below and the store in the
         // relaxation flavors (an `Arc` clone is a refcount bump).
-        let value_addrs: std::sync::Arc<[Addr]> =
+        let value_addrs: Arc<[Addr]> =
             neighbors.iter().map(|&t| self.values.addr(u64::from(t))).collect();
         b.gather(value_addrs.clone());
 

@@ -38,10 +38,23 @@ pub mod rng;
 pub mod scale;
 pub mod validate;
 
+use std::any::Any;
 use std::sync::Arc;
 
 use gpu_sim::kernel::ResourceReq;
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
+
+use crate::apps::amr::Amr;
+use crate::apps::bfs::Bfs;
+use crate::apps::bht::Bht;
+use crate::apps::clr::Clr;
+use crate::apps::graph_common::GraphApp;
+use crate::apps::join::{Join, JoinInput};
+use crate::apps::pre::Pre;
+use crate::apps::regx::{Regx, RegxInput};
+use crate::apps::sssp::Sssp;
+use crate::graph::Csr;
+use crate::graph::GraphKind::{self, Cage15, Citation, Graph500};
 
 pub use scale::Scale;
 pub use validate::{validate_workload, ValidationError};
@@ -60,6 +73,10 @@ pub struct HostKernel {
 }
 
 /// A benchmark application: input data plus program generation.
+///
+/// `Any` is a supertrait, so a `&dyn Workload` upcasts to `&dyn Any`
+/// and downcasts to its concrete application type to inspect its
+/// inputs (for example a [`apps::bfs::Bfs`]'s graph).
 ///
 /// # Implementing your own workload
 ///
@@ -122,7 +139,7 @@ pub struct HostKernel {
 /// let stats = sim.run_to_completion().unwrap();
 /// assert_eq!(stats.tb_records.len(), 32); // 16 parents + 16 children
 /// ```
-pub trait Workload: ProgramSource {
+pub trait Workload: ProgramSource + Any {
     /// Application name ("bfs", "amr", …).
     fn name(&self) -> &str;
 
@@ -182,29 +199,82 @@ pub fn suite(scale: Scale) -> Vec<Arc<dyn Workload>> {
 
 /// [`suite`] with an explicit input seed, for multi-sample experiments
 /// (seed 0 is the canonical instance used throughout the repository).
+///
+/// Each of the three input graphs is generated once and shared by its
+/// BFS, CLR and SSSP, as in Table II; nothing is kept after the call, so
+/// every build repeats the same work.
 pub fn suite_seeded(scale: Scale, seed: u64) -> Vec<Arc<dyn Workload>> {
-    use crate::graph::GraphKind;
-    let mut out: Vec<Arc<dyn Workload>> = Vec::new();
-    out.push(Arc::new(apps::amr::Amr::new_seeded(scale, seed)));
-    out.push(Arc::new(apps::bht::Bht::new_seeded(scale, seed)));
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::bfs::Bfs::new_seeded(kind, scale, seed)));
-    }
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::clr::Clr::new_seeded(kind, scale, seed)));
-    }
-    for input in apps::regx::RegxInput::all() {
-        out.push(Arc::new(apps::regx::Regx::new_seeded(input, scale, seed)));
-    }
-    out.push(Arc::new(apps::pre::Pre::new_seeded(scale, seed)));
-    for input in apps::join::JoinInput::all() {
-        out.push(Arc::new(apps::join::Join::new_seeded(input, scale, seed)));
-    }
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::sssp::Sssp::new_seeded(kind, scale, seed)));
-    }
-    out
+    let mut inputs = Inputs::new(scale, seed);
+    SUITE.iter().map(|(_, build)| build(&mut inputs)).collect()
 }
+
+/// The full names of the [`suite`] members, in the paper's order,
+/// without generating any input.
+pub fn suite_names() -> impl Iterator<Item = &'static str> {
+    SUITE.iter().map(|(name, _)| *name)
+}
+
+/// The one [`suite_seeded`] member named `full_name`, generating only
+/// its own input; `None` when no member has that name.
+///
+/// ```
+/// use workloads::{suite_seeded, workload_seeded, Scale};
+///
+/// let w = workload_seeded("bfs-citation", Scale::Tiny, 7).unwrap();
+/// let member = suite_seeded(Scale::Tiny, 7).into_iter().find(|m| m.full_name() == "bfs-citation");
+/// assert_eq!(w.dsl_text(), member.unwrap().dsl_text());
+/// assert!(workload_seeded("bfs", Scale::Tiny, 7).is_none());
+/// ```
+pub fn workload_seeded(full_name: &str, scale: Scale, seed: u64) -> Option<Arc<dyn Workload>> {
+    let (_, build) = SUITE.iter().find(|(name, _)| *name == full_name)?;
+    Some(build(&mut Inputs::new(scale, seed)))
+}
+
+/// The inputs of one suite build. A graph is generated when the first
+/// member reading it is built and handed to the later ones.
+struct Inputs {
+    scale: Scale,
+    seed: u64,
+    graphs: Vec<(GraphKind, Arc<Csr>)>,
+}
+
+impl Inputs {
+    fn new(scale: Scale, seed: u64) -> Self {
+        Inputs { scale, seed, graphs: Vec::new() }
+    }
+
+    fn graph(&mut self, kind: GraphKind) -> Arc<Csr> {
+        if let Some((_, graph)) = self.graphs.iter().find(|(k, _)| *k == kind) {
+            return graph.clone();
+        }
+        let graph = Arc::new(GraphApp::input_graph(kind, self.scale, self.seed));
+        self.graphs.push((kind, graph.clone()));
+        graph
+    }
+}
+
+/// Builds one suite member from the inputs of its build.
+type Build = fn(&mut Inputs) -> Arc<dyn Workload>;
+
+/// The suite: each member's full name and constructor, in Table II order.
+const SUITE: [(&str, Build); 16] = [
+    ("amr", |i| Arc::new(Amr::new_seeded(i.scale, i.seed))),
+    ("bht", |i| Arc::new(Bht::new_seeded(i.scale, i.seed))),
+    ("bfs-citation", |i| Arc::new(Bfs::on_graph(Citation, i.scale, i.graph(Citation)))),
+    ("bfs-graph500", |i| Arc::new(Bfs::on_graph(Graph500, i.scale, i.graph(Graph500)))),
+    ("bfs-cage15", |i| Arc::new(Bfs::on_graph(Cage15, i.scale, i.graph(Cage15)))),
+    ("clr-citation", |i| Arc::new(Clr::on_graph(Citation, i.scale, i.graph(Citation)))),
+    ("clr-graph500", |i| Arc::new(Clr::on_graph(Graph500, i.scale, i.graph(Graph500)))),
+    ("clr-cage15", |i| Arc::new(Clr::on_graph(Cage15, i.scale, i.graph(Cage15)))),
+    ("regx-darpa", |i| Arc::new(Regx::new_seeded(RegxInput::Darpa, i.scale, i.seed))),
+    ("regx-strings", |i| Arc::new(Regx::new_seeded(RegxInput::Strings, i.scale, i.seed))),
+    ("pre", |i| Arc::new(Pre::new_seeded(i.scale, i.seed))),
+    ("join-uniform", |i| Arc::new(Join::new_seeded(JoinInput::Uniform, i.scale, i.seed))),
+    ("join-gaussian", |i| Arc::new(Join::new_seeded(JoinInput::Gaussian, i.scale, i.seed))),
+    ("sssp-citation", |i| Arc::new(Sssp::on_graph(Citation, i.scale, i.graph(Citation)))),
+    ("sssp-graph500", |i| Arc::new(Sssp::on_graph(Graph500, i.scale, i.graph(Graph500)))),
+    ("sssp-cage15", |i| Arc::new(Sssp::on_graph(Cage15, i.scale, i.graph(Cage15)))),
+];
 
 #[cfg(test)]
 mod tests {
@@ -271,6 +341,56 @@ mod tests {
             a[2].tb_program(hk.kind, hk.param, tb) != b[2].tb_program(hk.kind, hk.param, tb)
         });
         assert!(differs, "seeds must change the generated inputs");
+    }
+
+    #[test]
+    fn suite_names_match_the_built_suite() {
+        let built: Vec<String> = suite(Scale::Tiny).iter().map(|w| w.full_name()).collect();
+        assert_eq!(suite_names().collect::<Vec<_>>(), built);
+    }
+
+    #[test]
+    fn workload_seeded_builds_the_suite_member() {
+        for seed in [0, 7] {
+            for member in suite_seeded(Scale::Tiny, seed) {
+                let name = member.full_name();
+                let w = workload_seeded(&name, Scale::Tiny, seed).expect("suite name");
+                assert_eq!(w.full_name(), name);
+                assert_eq!(w.host_kernels(), member.host_kernels(), "{name} seed {seed}");
+                // The DSL text embeds the inputs: equal text, equal programs.
+                assert_eq!(w.dsl_text(), member.dsl_text(), "{name} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn workload_seeded_rejects_non_member_names() {
+        for name in ["bfs", "bfs-road", "list", ""] {
+            assert!(workload_seeded(name, Scale::Tiny, 0).is_none(), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn graph_apps_of_one_suite_build_share_their_graph() {
+        use crate::apps::graph_common::GraphApp;
+        fn app(w: &Arc<dyn Workload>) -> Option<&GraphApp> {
+            let any: &dyn Any = w.as_ref();
+            any.downcast_ref::<Bfs>()
+                .map(Bfs::app)
+                .or_else(|| any.downcast_ref::<Clr>().map(Clr::app))
+                .or_else(|| any.downcast_ref::<Sssp>().map(Sssp::app))
+        }
+        let all = suite(Scale::Tiny);
+        for kind in GraphKind::all() {
+            let graphs: Vec<&Csr> = all
+                .iter()
+                .filter_map(app)
+                .filter(|a| a.graph_kind() == kind)
+                .map(GraphApp::graph)
+                .collect();
+            assert_eq!(graphs.len(), 3, "{kind}: bfs, clr and sssp");
+            assert!(graphs.iter().all(|g| std::ptr::eq(*g, graphs[0])), "{kind}");
+        }
     }
 
     #[test]
