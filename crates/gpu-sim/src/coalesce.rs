@@ -19,13 +19,19 @@ pub fn coalesce(addrs: &[Addr], line_bits: u32) -> Vec<LineAddr> {
 
 /// [`coalesce`] into a caller-owned buffer (cleared first), so hot paths
 /// can reuse one allocation across warp accesses.
+///
+/// Neighbouring threads usually share a line, so a thread whose line
+/// equals the previous thread's skips the scan of `out`: that line is
+/// already there, and the first-appearance order is unchanged.
 pub fn coalesce_into(addrs: &[Addr], line_bits: u32, out: &mut Vec<LineAddr>) {
     out.clear();
+    let mut prev = None;
     for &a in addrs {
         let line = a >> line_bits;
-        if !out.contains(&line) {
+        if prev != Some(line) && !out.contains(&line) {
             out.push(line);
         }
+        prev = Some(line);
     }
 }
 

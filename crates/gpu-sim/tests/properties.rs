@@ -125,6 +125,47 @@ fn coalescer_bounds() {
     }
 }
 
+/// The coalescer equals a plain first-appearance dedupe of the lines on
+/// every address shape a warp produces: runs of threads in one line
+/// (where the repeated-line fast path fires), scattered lines, one
+/// broadcast address, and no addresses at all.
+#[test]
+fn coalescer_matches_first_appearance_dedupe() {
+    let mut scratch = Vec::new();
+    for seed in 0..256 {
+        let mut rng = Rng(2500 + seed);
+        let len = rng.below(65) as usize;
+        let addrs: Vec<u64> = match seed % 4 {
+            0 => {
+                // Runs of 1-8 threads in one line, drawn from a small
+                // pool of lines so a line also recurs after other lines.
+                let first_line = rng.below(1 << 20);
+                let pool = rng.range(1, 6);
+                let mut v = Vec::with_capacity(len);
+                while v.len() < len {
+                    let line = first_line + rng.below(pool);
+                    for _ in 0..rng.range(1, 9).min((len - v.len()) as u64) {
+                        v.push(line * 128 + rng.below(128));
+                    }
+                }
+                v
+            }
+            1 => (0..len).map(|_| rng.below(1 << 30)).collect(),
+            2 => vec![rng.below(1 << 30); len],
+            _ => Vec::new(),
+        };
+        let mut expected: Vec<u64> = Vec::new();
+        for &a in &addrs {
+            if !expected.contains(&(a >> 7)) {
+                expected.push(a >> 7);
+            }
+        }
+        coalesce_into(&addrs, 7, &mut scratch);
+        assert_eq!(scratch, expected, "seed {seed}: {addrs:?}");
+        assert_eq!(coalesce(&addrs, 7), expected);
+    }
+}
+
 /// Consecutive addresses within one line always coalesce to a single
 /// transaction.
 #[test]

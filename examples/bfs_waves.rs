@@ -10,13 +10,12 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
 use sim_metrics::report::Table;
-use workloads::{suite, Scale, SharedSource};
+use workloads::{workload_seeded, Scale, SharedSource};
 
 const WAVES: usize = 3;
 
 fn main() {
-    let all = suite(Scale::Small);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = workload_seeded("bfs-citation", Scale::Small, 0).expect("bfs-citation in suite");
     let cfg = GpuConfig::kepler_k20c();
 
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))

@@ -16,7 +16,7 @@ use gpu_sim::tb_sched::{DispatchDecision, DispatchView, RoundRobinScheduler, TbS
 use gpu_sim::types::{BatchId, Cycle};
 use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
 use sim_metrics::report::Table;
-use workloads::{suite, Scale, SharedSource};
+use workloads::{workload_seeded, Scale, SharedSource};
 
 /// Dispatch from the newest batch that still has work; place round-robin.
 #[derive(Debug, Default)]
@@ -51,8 +51,7 @@ impl TbScheduler for NewestFirst {
 }
 
 fn main() {
-    let all = suite(Scale::Small);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = workload_seeded("bfs-citation", Scale::Small, 0).expect("bfs-citation in suite");
     let cfg = GpuConfig::kepler_k20c();
 
     let schedulers: Vec<(&str, Box<dyn TbScheduler>)> = vec![

@@ -11,13 +11,15 @@ use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
 use sim_metrics::harness::{run_with_latency, SchedulerKind};
 use sim_metrics::report::Table;
-use workloads::{suite, Scale};
+use workloads::{suite_names, workload_seeded, Scale};
 
 fn main() {
     let target = std::env::args().nth(1).unwrap_or_else(|| "sssp-cage15".to_string());
-    let all = suite(Scale::Small);
-    let workload = all.iter().find(|w| w.full_name() == target).unwrap_or_else(|| {
-        eprintln!("unknown workload {target}");
+    let workload = &workload_seeded(&target, Scale::Small, 0).unwrap_or_else(|| {
+        eprintln!("unknown workload {target}; available:");
+        for name in suite_names() {
+            eprintln!("  {name}");
+        }
         std::process::exit(1);
     });
     let cfg = GpuConfig::kepler_k20c();

@@ -10,15 +10,14 @@ use dynpar::LaunchModelKind;
 use gpu_sim::config::GpuConfig;
 use sim_metrics::harness::{run_once, SchedulerKind};
 use sim_metrics::report::{pct, Table};
-use workloads::{suite, Scale};
+use workloads::{suite_names, workload_seeded, Scale};
 
 fn main() {
     let target = std::env::args().nth(1).unwrap_or_else(|| "bfs-citation".to_string());
-    let all = suite(Scale::Small);
-    let workload = all.iter().find(|w| w.full_name() == target).unwrap_or_else(|| {
+    let workload = &workload_seeded(&target, Scale::Small, 0).unwrap_or_else(|| {
         eprintln!("unknown workload {target}; available:");
-        for w in &all {
-            eprintln!("  {}", w.full_name());
+        for name in suite_names() {
+            eprintln!("  {name}");
         }
         std::process::exit(1);
     });
